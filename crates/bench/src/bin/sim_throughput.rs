@@ -32,12 +32,19 @@
 //!   `rv32_core` row and fail if it lands below 95% of the recorded
 //!   `current` number. Guards the four-state engine work: the
 //!   two-state fast path must stay within 5% of its baseline.
+//!
+//! The `rv32_core` rows time a program that is still executing: the
+//! suite's `multiply` kernel with its loop bound raised, checked not to
+//! halt inside the window. A halted core clocks idle ~20x faster than
+//! it executes, so a row that outlived its program would measure
+//! nothing the debugger's users run.
 
 use bench::{
     compile_core, loaded_sim_with, loaded_wide_sim_with, measure_throughput_checkpointed,
     measure_throughput_warmed, run_plain,
 };
-use rtl_sim::{SimConfig, SimControl};
+use rtl_sim::{SimConfig, SimControl, Simulator};
+use rv32::programs::Program;
 
 struct Row {
     design: &'static str,
@@ -60,11 +67,49 @@ fn config_for(workers: usize, force_parallel: bool) -> SimConfig {
     cfg
 }
 
-fn measure_rv32(workers: usize, cycles: u64, warmup: u64) -> Row {
+/// The timed rv32 workload: `multiply`'s kernel with its loop bound
+/// raised from 10 to 1000, so the core is still executing (≈5M
+/// cycles) at the end of the longest window measured here. Timing the
+/// suite's `multiply` itself would time a halted core clocking idle
+/// from cycle 534 on, which runs ~20x faster than execution.
+fn executing_workload() -> Program {
+    let multiply = rv32::programs::multiply();
+    Program {
+        name: "multiply-1000",
+        source: multiply.source.replace("li t3, 10\n", "li t3, 1000\n"),
+        // (1 + ... + 1000)^2 mod 2^32.
+        expected: 1_392_146_832,
+        dual_core: false,
+    }
+}
+
+/// Loads [`executing_workload`] on the release-mode core.
+fn executing_sim(workers: usize) -> (Simulator, String) {
     let core = compile_core(false);
-    let workload = rv32::programs::multiply();
-    let mut sim = loaded_sim_with(&core, &workload, config_for(workers, false));
+    let workload = executing_workload();
+    assert_ne!(
+        workload.source,
+        rv32::programs::multiply().source,
+        "multiply's loop bound moved; update executing_workload"
+    );
+    let sim = loaded_sim_with(&core, &workload, config_for(workers, false));
+    (sim, format!("{}.halted", core.top))
+}
+
+/// Fails the measurement if the core halted inside the window: the
+/// row would then time idle clocking, not execution.
+fn assert_executing(sim: &Simulator, halted: &str) {
+    let halted = sim.peek(halted).expect("halted port");
+    assert!(
+        !halted.is_truthy(),
+        "the timed rv32 workload halted inside the window"
+    );
+}
+
+fn measure_rv32(workers: usize, cycles: u64, warmup: u64) -> Row {
+    let (mut sim, halted) = executing_sim(workers);
     let cps = measure_throughput_warmed(&mut sim, warmup, cycles);
+    assert_executing(&sim, &halted);
     Row {
         design: "rv32_core",
         workers,
@@ -80,10 +125,9 @@ fn measure_rv32(workers: usize, cycles: u64, warmup: u64) -> Row {
 /// captures (measured directly, so it stays meaningful on hosts whose
 /// absolute throughput drifts between runs).
 fn measure_rv32_checkpointed(workers: usize, cycles: u64, warmup: u64, every: u64) -> (Row, f64) {
-    let core = compile_core(false);
-    let workload = rv32::programs::multiply();
-    let mut sim = loaded_sim_with(&core, &workload, config_for(workers, false));
+    let (mut sim, halted) = executing_sim(workers);
     let (cps, overhead) = measure_throughput_checkpointed(&mut sim, warmup, cycles, every);
+    assert_executing(&sim, &halted);
     let row = Row {
         design: "rv32_core",
         workers,
@@ -318,12 +362,14 @@ fn main() {
     println!("}}");
 
     if smoke {
-        // Thresholds sit well above the pre-PR-2 tree-walking
-        // interpreter (183k / 49k cycles/sec, see
-        // BENCH_sim_throughput.json) and well below the compiled
-        // engine's measured numbers (≈6M / ≈400k), with slack for slow
-        // CI runners — a regression to interpreter-class speed fails.
-        let floor = [("rv32_core", 500_000.0), ("wide_datapath", 100_000.0)];
+        // Thresholds sit well below the compiled engine's measured
+        // numbers (≈0.3M cycles/sec executing rv32, ≈400k wide; see
+        // BENCH_sim_throughput.json), with slack for slow CI runners,
+        // and far above what a tree-walking interpreter sustains: the
+        // one the compiled engine replaced clocked a *halted* core at
+        // 183k, some 34x under the compiled engine's idle rate, so a
+        // regression to interpreter-class speed fails.
+        let floor = [("rv32_core", 50_000.0), ("wide_datapath", 100_000.0)];
         for (design, min) in floor {
             let r = rows
                 .iter()

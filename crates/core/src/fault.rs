@@ -1,31 +1,18 @@
 //! Test-only fault injection for the chaos suite.
 //!
-//! The service code calls `maybe_panic` at tagged points in request
-//! handling. In a normal build the call is one relaxed atomic load —
-//! no plan is armed, nothing fires. A test arms a [`FaultPlan`]
-//! (builder or the `HGDB_FAULT_PLAN` environment variable) naming
-//! *which* point should panic on *which* hit; the service's
+//! A [`FaultPlan`] names *which* tagged point in request handling
+//! should panic on *which* hit. A test arms it on the runtime it is
+//! about to serve ([`crate::Runtime::arm_faults`]); the service's
 //! panic-isolation machinery must then contain the blast radius to the
 //! offending session, which is exactly what `tests/chaos.rs` asserts.
-//!
-//! Plans are process-global (the service thread cannot know which test
-//! armed them), so tests that arm plans serialize themselves on a
-//! shared lock. The [`FaultGuard`] returned by [`FaultPlan::arm`]
-//! disarms on drop, including on test panic.
+//! A plan belongs to the one runtime it is armed on, so tests running
+//! side by side cannot fire or consume each other's points. With
+//! nothing armed, a point costs one emptiness check.
 //!
 //! Wire-level faults (torn frames, garbage, oversized lines) don't go
 //! through this module — they are injected by writing the faulty bytes
 //! directly to a socket; [`WireFault`] enumerates the canned payloads
 //! so the chaos suite drives every shape through one loop.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Fast-path gate: `false` means no plan is armed and [`maybe_panic`]
-/// returns before touching the plan lock or formatting anything.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-static PLAN: Mutex<Option<Vec<PointState>>> = Mutex::new(None);
 
 #[derive(Debug)]
 struct PointState {
@@ -36,11 +23,13 @@ struct PointState {
     fired: bool,
 }
 
-/// A set of panic-injection points, armed with [`FaultPlan::arm`].
+/// A set of panic-injection points, armed on a runtime with
+/// [`crate::Runtime::arm_faults`].
 ///
-/// Point tags are the service's stable names: `execute:<request kind>`
-/// (e.g. `execute:eval`, `execute:continue`) for the top of request
-/// handling, and `slice` for the gap between two continue slices.
+/// Point tags are stable names: `execute:<request kind>` (e.g.
+/// `execute:eval`, `execute:continue`) at the top of request handling,
+/// `slice` between two slices of a service-thread `continue`, and
+/// `snapshot` / `restore` inside checkpoint capture and rewind.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     points: Vec<PointState>,
@@ -65,71 +54,11 @@ impl FaultPlan {
         self
     }
 
-    /// Parses the `HGDB_FAULT_PLAN` format: `;`-separated `tag=nth`
-    /// entries (`nth` defaults to 1 when omitted), e.g.
-    /// `execute:eval=1;slice=2`. Unparsable counts fall back to 1 —
-    /// a fault plan with a typo should still inject, not silently
-    /// disarm the chaos run.
-    pub fn parse(spec: &str) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for entry in spec.split(';').filter(|e| !e.trim().is_empty()) {
-            let (tag, nth) = match entry.rsplit_once('=') {
-                Some((tag, nth)) => (tag.trim(), nth.trim().parse::<u64>().unwrap_or(1)),
-                None => (entry.trim(), 1),
-            };
-            if !tag.is_empty() {
-                plan = plan.panic_at(tag, nth);
-            }
-        }
-        plan
-    }
-
-    /// Installs this plan process-wide and returns the guard that
-    /// disarms it on drop. Arming replaces any previously armed plan.
-    #[must_use]
-    pub fn arm(self) -> FaultGuard {
-        *PLAN.lock().unwrap() = Some(self.points);
-        ACTIVE.store(true, Ordering::Release);
-        FaultGuard { _private: () }
-    }
-}
-
-/// Disarms the armed [`FaultPlan`] when dropped.
-#[derive(Debug)]
-pub struct FaultGuard {
-    _private: (),
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::Release);
-        *PLAN.lock().unwrap() = None;
-    }
-}
-
-/// Arms a plan from `HGDB_FAULT_PLAN` if the variable is set. Called
-/// once per process by `DebugService::spawn`; the environment-armed
-/// plan has no guard and stays armed for the process lifetime (the
-/// variable's contract is "this whole run is a chaos run").
-pub(crate) fn arm_from_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        if let Ok(spec) = std::env::var("HGDB_FAULT_PLAN") {
-            std::mem::forget(FaultPlan::parse(&spec).arm());
-        }
-    });
-}
-
-/// Panics iff an armed plan has an unfired point matching `tag` whose
-/// hit count just came due. The no-plan fast path is one relaxed load.
-pub(crate) fn maybe_panic(tag: &str) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let mut plan = PLAN.lock().unwrap();
-    let mut fire = false;
-    if let Some(points) = plan.as_mut() {
-        for point in points.iter_mut() {
+    /// Counts a hit of the point `tag` and panics iff an unfired point
+    /// of that tag just came due.
+    pub(crate) fn hit(&mut self, tag: &str) {
+        let mut fire = false;
+        for point in &mut self.points {
             if !point.fired && point.tag == tag {
                 point.seen += 1;
                 if point.seen >= point.after {
@@ -138,21 +67,18 @@ pub(crate) fn maybe_panic(tag: &str) {
                 }
             }
         }
+        if fire {
+            panic!("fault injected at {tag}");
+        }
     }
-    // Unlock before unwinding so the plan mutex is never poisoned.
-    drop(plan);
-    if fire {
-        panic!("fault injected at {tag}");
-    }
-}
 
-/// [`maybe_panic`] with a `{prefix}:{kind}` tag, gated so the unarmed
-/// hot path never allocates the joined string.
-pub(crate) fn maybe_panic_at(prefix: &str, kind: &str) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
+    /// [`FaultPlan::hit`] at `execute:<kind>`, formatting the tag only
+    /// when something is armed.
+    pub(crate) fn hit_request(&mut self, kind: &str) {
+        if !self.points.is_empty() {
+            self.hit(&format!("execute:{kind}"));
+        }
     }
-    maybe_panic(&format!("{prefix}:{kind}"));
 }
 
 /// Canned malformed-wire payloads for chaos tests. Each is the byte
@@ -201,43 +127,21 @@ impl WireFault {
 mod tests {
     use super::*;
 
-    // Arming mutates process-global state; every test here (and every
-    // fault-armed chaos test) must hold this lock.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn unarmed_points_never_fire() {
-        let _guard = LOCK.lock().unwrap();
-        maybe_panic("execute:eval");
+        let mut plan = FaultPlan::new();
+        plan.hit("slice");
+        plan.hit_request("eval");
     }
 
     #[test]
     fn armed_point_fires_on_nth_hit_once() {
-        let _guard = LOCK.lock().unwrap();
-        let _armed = FaultPlan::new().panic_at("execute:eval", 2).arm();
-        maybe_panic("execute:eval");
-        maybe_panic("execute:time");
-        let hit = std::panic::catch_unwind(|| maybe_panic("execute:eval"));
+        let mut plan = FaultPlan::new().panic_at("execute:eval", 2);
+        plan.hit_request("eval");
+        plan.hit_request("time");
+        let hit =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.hit_request("eval")));
         assert!(hit.is_err(), "second hit fires");
-        maybe_panic("execute:eval");
-    }
-
-    #[test]
-    fn guard_drop_disarms() {
-        let _guard = LOCK.lock().unwrap();
-        {
-            let _armed = FaultPlan::new().panic_at("slice", 1).arm();
-        }
-        maybe_panic("slice");
-    }
-
-    #[test]
-    fn parse_spec_round_trips() {
-        let plan = FaultPlan::parse("execute:eval=3;slice;=;");
-        assert_eq!(plan.points.len(), 2);
-        assert_eq!(plan.points[0].tag, "execute:eval");
-        assert_eq!(plan.points[0].after, 3);
-        assert_eq!(plan.points[1].tag, "slice");
-        assert_eq!(plan.points[1].after, 1);
+        plan.hit_request("eval");
     }
 }

@@ -29,6 +29,10 @@
 //!   to the sessions whose [`Subscription`] matches, through bounded
 //!   per-session [`outbound`] queues that drop oldest events (never
 //!   replies) and notify laggards.
+//! * Every request takes one path: the service thread and the
+//!   in-process [`service::dispatch`] run the same interpreter, and
+//!   every `continue` runs the runtime's one sliced loop, which calls
+//!   back between slices so the service can keep answering.
 //!
 //! The prose version of this layer diagram, with a data-flow
 //! walkthrough, lives in `docs/ARCHITECTURE.md`; the wire protocol
@@ -89,13 +93,13 @@ mod runtime;
 pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointRing};
 pub use client::{ClientError, DebugClient};
 pub use expr::DebugExpr;
-pub use fault::{FaultGuard, FaultPlan, WireFault};
+pub use fault::{FaultPlan, WireFault};
 pub use frame::{build_var_tree, Frame, VarNode};
 pub use outbound::{outbound_queue, Outbound, OutboundQueue, OutboundReceiver, RecvTimeoutError};
 pub use protocol::SessionId;
 pub use runtime::{
-    BreakpointListing, DebugError, RunOutcome, Runtime, SliceOutcome, StopEvent, StopKind,
-    WatchHit, WatchpointListing, LOCAL_SESSION,
+    BreakpointListing, DebugError, RunOutcome, Runtime, StopEvent, StopKind, WatchHit,
+    WatchpointListing, LOCAL_SESSION,
 };
 pub use scheduler::{Group, Scheduler};
 pub use server::{channel_pair, serve, ChannelPair, RecvOutcome, TcpTransport, Transport};

@@ -204,6 +204,31 @@ impl Request {
             Request::Batch { .. } => "batch",
         }
     }
+
+    /// Whether this request moves or captures simulation state —
+    /// recursively, so a batch carrying a `continue` counts. The one
+    /// list of advancing kinds: the service defers advancing requests
+    /// while another session's `continue` is in flight (two interleaved
+    /// runs would corrupt both sessions' notion of "the" stop), seeds
+    /// its crash-recovery checkpoint before running one, and broadcasts
+    /// only their stops (a `frames` re-query also answers `stopped`,
+    /// but nothing moved).
+    pub fn is_advancing(&self) -> bool {
+        match self {
+            Request::Continue { .. }
+            | Request::Step { .. }
+            | Request::ReverseStep
+            | Request::ReverseContinue
+            // A checkpoint captures state, and a continue's mid-run
+            // slice boundary leaves the scheduler cursor inside a cycle
+            // that a snapshot would not capture, so it waits its turn
+            // like any state-moving request.
+            | Request::Checkpoint
+            | Request::Restore { .. } => true,
+            Request::Batch { requests } => requests.iter().any(Request::is_advancing),
+            _ => false,
+        }
+    }
 }
 
 /// A runtime → debugger response.

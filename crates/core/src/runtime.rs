@@ -29,9 +29,18 @@
 //! time and its signal references are interned against the backend
 //! (the same compiled-expression machinery breakpoint conditions use),
 //! so the per-cycle check is cheap.
+//!
+//! # The `continue` loop
+//!
+//! Every `continue` — [`Runtime::continue_run`], `dispatch`, a service
+//! session — runs one loop: the Figure 2 walk in bounded slices, with
+//! per-request cycle and wall-clock budgets, a bounded finish, and a
+//! hook between slices through which the service pumps its command
+//! queue and honors `interrupt`.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use bits::{Bits, Bits4};
@@ -40,7 +49,7 @@ use symtab::{BreakpointInfo, SymbolTable};
 
 use crate::checkpoint::{CheckpointConfig, CheckpointRing};
 use crate::expr::{DebugExpr, ExprError};
-use crate::fault;
+use crate::fault::FaultPlan;
 use crate::frame::{build_var_tree, Frame};
 use crate::protocol::SessionId;
 use crate::scheduler::Scheduler;
@@ -189,9 +198,22 @@ impl StopKind {
     }
 }
 
+/// Cycle bound of one `continue` slice. Large enough that the cost of
+/// a slice boundary (a hook call, a clock read) vanishes against
+/// per-cycle evaluation, small enough that a slice of a small design
+/// completes in well under a millisecond.
+const SLICE_CYCLES: u64 = 2048;
+
+/// Wall-clock bound of one `continue` slice, for designs slow enough
+/// that even [`SLICE_CYCLES`] cycles would keep the between-slice hook
+/// waiting. This is the service's worst-case responsiveness while a
+/// continue is in flight (the chaos suite's 50ms bound leaves ~10x
+/// headroom).
+const SLICE_WALL: Duration = Duration::from_millis(5);
+
 /// One bounded slice of a `continue` — see [`Runtime::continue_slice`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SliceOutcome {
+enum SliceOutcome {
     /// A breakpoint or watchpoint hit inside the slice.
     Stopped(StopEvent),
     /// The backend ended (end of trace) inside the slice.
@@ -431,6 +453,9 @@ pub struct Runtime<S: SimControl> {
     /// inconsistent: advancing operations refuse with
     /// [`DebugError::Degraded`] until an explicit restore succeeds.
     degraded: Option<String>,
+    /// Panic-injection points armed on this runtime (chaos tests only;
+    /// empty otherwise).
+    faults: FaultPlan,
 }
 
 impl<S: SimControl> fmt::Debug for Runtime<S> {
@@ -486,6 +511,7 @@ impl<S: SimControl> Runtime<S> {
             lint_report: None,
             checkpoints: CheckpointRing::new(CheckpointConfig::from_env()),
             degraded: None,
+            faults: FaultPlan::default(),
         })
     }
 
@@ -708,6 +734,18 @@ impl<S: SimControl> Runtime<S> {
         self.checkpoints.set_config(config);
     }
 
+    /// Arms a panic-injection plan on this runtime, replacing any plan
+    /// armed before. The chaos suite's harness: see [`crate::fault`].
+    pub fn arm_faults(&mut self, plan: FaultPlan) {
+        self.faults = plan;
+    }
+
+    /// The armed panic-injection plan, for the fault points the
+    /// service passes on this runtime's behalf.
+    pub(crate) fn faults(&mut self) -> &mut FaultPlan {
+        &mut self.faults
+    }
+
     /// Why the runtime is degraded, when crash recovery has failed and
     /// simulation state may be inconsistent.
     pub fn degraded(&self) -> Option<&str> {
@@ -759,7 +797,7 @@ impl<S: SimControl> Runtime<S> {
     /// snapshots nor reverse.
     pub fn checkpoint_now(&mut self) -> Result<u64, DebugError> {
         self.ensure_not_degraded()?;
-        fault::maybe_panic("snapshot");
+        self.faults.hit("snapshot");
         match self.take_checkpoint() {
             Some(cycle) => Ok(cycle),
             None if self.sim.supports_reverse() => Ok(self.sim.time()),
@@ -788,7 +826,7 @@ impl<S: SimControl> Runtime<S> {
     fn maybe_auto_checkpoint(&mut self) {
         let interval = self.checkpoints.interval();
         if interval != 0 && self.sim.time().is_multiple_of(interval) {
-            fault::maybe_panic("snapshot");
+            self.faults.hit("snapshot");
             self.take_checkpoint();
         }
     }
@@ -807,7 +845,7 @@ impl<S: SimControl> Runtime<S> {
                 .checkpoints
                 .nearest_at_or_before(cycle)
                 .ok_or(DebugError::NoCheckpoint(cycle))?;
-            fault::maybe_panic("restore");
+            self.faults.hit("restore");
             self.sim.load_snapshot(cp.snapshot())?;
             while self.sim.time() < cycle {
                 if !self.sim.step_clock() {
@@ -1420,7 +1458,7 @@ impl<S: SimControl> Runtime<S> {
     /// time. Control stops do not update [`Runtime::stopped`] — the
     /// run was cut short between breakpoints, so there is no frame
     /// context to query.
-    pub fn control_stop(&self, reason: StopKind) -> StopEvent {
+    fn control_stop(&self, reason: StopKind) -> StopEvent {
         StopEvent {
             time: self.sim.time(),
             filename: String::new(),
@@ -1449,96 +1487,84 @@ impl<S: SimControl> Runtime<S> {
     ///
     /// Propagates backend failures.
     pub fn continue_run(&mut self, max_cycles: Option<u64>) -> Result<RunOutcome, DebugError> {
-        match self.continue_slice(max_cycles.unwrap_or(u64::MAX), None)? {
-            SliceOutcome::Stopped(event) => Ok(RunOutcome::Stopped(event)),
-            SliceOutcome::Finished { time } => Ok(RunOutcome::Finished { time }),
-            // The slice bound *is* max_cycles here, so expiry is the
-            // old "cycle budget reached" finish.
-            SliceOutcome::Expired { .. } => Ok(self.finish_bounded_run()),
-        }
+        self.continue_sliced(max_cycles, None, None, |_| ControlFlow::Continue(()))
     }
 
-    /// The terminal state of a `continue` whose caller-supplied cycle
-    /// bound ran out: not stopped at anything, reported as finished at
-    /// the current simulation time. Shared by every sliced-run driver
-    /// so a bounded finish means the same thing on all paths.
-    pub fn finish_bounded_run(&mut self) -> RunOutcome {
-        self.stopped = None;
-        RunOutcome::Finished {
-            time: self.sim.time(),
-        }
-    }
-
-    /// [`Runtime::continue_run`] with an optional per-request budget: a
-    /// run that consumes `budget_cycles` clock cycles or outlives
-    /// `budget_ms` milliseconds of wall-clock time stops with reason
-    /// [`StopKind::BudgetExhausted`] instead of running away. The run
-    /// is resumable — the in-cycle cursor persists, so a later
-    /// `continue` picks up exactly where the budget cut in.
+    /// The one `continue` loop, behind [`Runtime::continue_run`],
+    /// `dispatch` and the service thread alike. It runs the Figure 2
+    /// loop in slices of at most [`SLICE_CYCLES`] cycles or
+    /// [`SLICE_WALL`] of wall clock and calls `between_slices` after
+    /// every slice that ended without a stop; a `Break` from the hook
+    /// ends the run with a [`StopKind::Interrupted`] stop. The service
+    /// drains its command queue there; other callers pass a hook that
+    /// does nothing.
     ///
-    /// This is the embedded-path budget implementation; the service
-    /// thread drives [`Runtime::continue_slice`] directly so it can
-    /// also drain its command queue between slices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures.
-    pub fn continue_run_budgeted(
+    /// A run that consumes `budget_cycles` clock cycles or outlives
+    /// `budget_ms` milliseconds stops with
+    /// [`StopKind::BudgetExhausted`]; a run whose `max_cycles` runs out
+    /// finishes at the current time, not stopped at anything. A budget
+    /// or interrupt stop is resumable: the scheduler's in-cycle cursor
+    /// persists across slices, so a sliced run stops on exactly the
+    /// cycle and breakpoint an unbroken one would.
+    pub(crate) fn continue_sliced(
         &mut self,
         max_cycles: Option<u64>,
         budget_cycles: Option<u64>,
         budget_ms: Option<u64>,
+        mut between_slices: impl FnMut(&mut Self) -> ControlFlow<()>,
     ) -> Result<RunOutcome, DebugError> {
-        let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+        let budget_deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut remaining_max = max_cycles;
         let mut remaining_budget = budget_cycles;
         loop {
-            if remaining_budget == Some(0) || deadline.is_some_and(|d| Instant::now() >= d) {
+            if remaining_budget == Some(0) || budget_deadline.is_some_and(|d| Instant::now() >= d) {
                 return Ok(RunOutcome::Stopped(
                     self.control_stop(StopKind::BudgetExhausted),
                 ));
             }
-            let slice = remaining_max
-                .unwrap_or(u64::MAX)
+            // No early-out on remaining_max == Some(0): `continue`
+            // scans the current cycle's breakpoint groups even with a
+            // zero bound, which a zero-cycle slice does before expiring.
+            let cycles = SLICE_CYCLES
+                .min(remaining_max.unwrap_or(u64::MAX))
                 .min(remaining_budget.unwrap_or(u64::MAX));
-            // No early-out on remaining_max == Some(0) before the
-            // slice: `continue` scans breakpoint groups at the current
-            // cycle even with a zero bound, and continue_slice(0)
-            // preserves exactly that before expiring.
-            match self.continue_slice(slice, deadline)? {
+            let wall = Instant::now() + SLICE_WALL;
+            let deadline = budget_deadline.map_or(wall, |d| d.min(wall));
+            match self.continue_slice(cycles, Some(deadline), u64::MAX)? {
                 SliceOutcome::Stopped(event) => return Ok(RunOutcome::Stopped(event)),
                 SliceOutcome::Finished { time } => return Ok(RunOutcome::Finished { time }),
                 SliceOutcome::Expired { cycles } => {
-                    if let Some(m) = &mut remaining_max {
-                        *m = m.saturating_sub(cycles);
-                    }
-                    if let Some(b) = &mut remaining_budget {
-                        *b = b.saturating_sub(cycles);
-                    }
+                    remaining_max = remaining_max.map(|m| m.saturating_sub(cycles));
+                    remaining_budget = remaining_budget.map(|b| b.saturating_sub(cycles));
                     if remaining_max == Some(0) {
-                        return Ok(self.finish_bounded_run());
+                        self.stopped = None;
+                        return Ok(RunOutcome::Finished {
+                            time: self.sim.time(),
+                        });
                     }
                 }
+            }
+            if between_slices(self).is_break() {
+                return Ok(RunOutcome::Stopped(
+                    self.control_stop(StopKind::Interrupted),
+                ));
             }
         }
     }
 
-    /// Runs one bounded slice of a `continue`: at most `max_cycles`
-    /// clock cycles, optionally cut short at `deadline`. This is the
-    /// Figure 2 loop of [`Runtime::continue_run`] with a resumable
-    /// exit: on [`SliceOutcome::Expired`] the scheduler's in-cycle
-    /// cursor persists, so chaining slices is cycle-for-cycle
-    /// identical to one long continue. The service thread uses this to
-    /// drain its command queue between slices — the mechanism behind
-    /// `interrupt` and per-request budgets.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend failures.
-    pub fn continue_slice(
+    /// Runs one bounded slice of a `continue`: the Figure 2 loop for at
+    /// most `max_cycles` clock cycles, cut short at `deadline`. The
+    /// first step that reaches backend time `before` ends the slice at
+    /// once, before that cycle's watchpoints or breakpoints are
+    /// evaluated; only [`Runtime::scan_forward_stops`] sets this bound,
+    /// and it rewinds afterwards. On [`SliceOutcome::Expired`] the
+    /// scheduler's in-cycle cursor persists, so chaining slices is
+    /// cycle-for-cycle identical to one long continue.
+    fn continue_slice(
         &mut self,
         max_cycles: u64,
         deadline: Option<Instant>,
+        before: u64,
     ) -> Result<SliceOutcome, DebugError> {
         self.ensure_not_degraded()?;
         let mut cycles: u64 = 0;
@@ -1583,6 +1609,9 @@ impl<S: SimControl> Runtime<S> {
             cycles += 1;
             self.scheduler.reset_cycle();
             self.stopped = None;
+            if self.sim.time() >= before {
+                return Ok(SliceOutcome::Expired { cycles });
+            }
             // Watchpoints compare values across the edge that just
             // happened — the "evaluation points" of §3 are rising
             // clock edges, where register state is stable.
@@ -1767,10 +1796,7 @@ impl<S: SimControl> Runtime<S> {
             if origin >= upper {
                 continue;
             }
-            // Pass 1: count the stops in [origin, upper). The scan
-            // budget evaluates breakpoint groups through cycle upper-1
-            // but never steps *into* `upper` (a watch firing there is
-            // the stop we are reversing away from).
+            // Pass 1: count the stops in [origin, upper).
             self.rewind_raw(origin)?;
             self.scheduler.reset_cycle();
             self.stopped = None;
@@ -1797,11 +1823,14 @@ impl<S: SimControl> Runtime<S> {
     }
 
     /// Replays forward from the current cycle, stopping normally at
-    /// breakpoints/watchpoints, until the cycle budget that keeps
-    /// execution strictly below `upper` runs out. With `take_nth =
-    /// None` every stop is resumed through and the total is returned;
-    /// with `Some(n)` the scan halts *at* the nth stop (leaving
-    /// [`Runtime::stopped`] describing it).
+    /// breakpoints/watchpoints, until a step reaches backend time
+    /// `upper` (a watch firing there, or a breakpoint at that cycle, is
+    /// the stop being reversed away from). The window is bounded in
+    /// backend time, not in cycles: a trace replay advances many time
+    /// units per cycle. With `take_nth = None` every stop is resumed
+    /// through and the total is returned; with `Some(n)` the scan
+    /// halts *at* the nth stop (leaving [`Runtime::stopped`] describing
+    /// it).
     fn scan_forward_stops(
         &mut self,
         upper: u64,
@@ -1809,11 +1838,7 @@ impl<S: SimControl> Runtime<S> {
     ) -> Result<usize, DebugError> {
         let mut seen = 0usize;
         loop {
-            // Group evaluation precedes the budget check inside
-            // `continue_slice`, so a budget of upper-1-time scans
-            // groups at cycle upper-1 without stepping into upper.
-            let budget = (upper - 1).saturating_sub(self.sim.time());
-            match self.continue_slice(budget, None)? {
+            match self.continue_slice(u64::MAX, None, upper)? {
                 SliceOutcome::Stopped(event) => {
                     debug_assert!(event.time < upper, "scan stop escaped its window");
                     seen += 1;

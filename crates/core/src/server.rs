@@ -22,7 +22,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rtl_sim::SimControl;
 
 use crate::outbound::{outbound_queue, DEFAULT_OUTBOUND_CAPACITY};
-use crate::protocol::decode_line;
 use crate::runtime::Runtime;
 use crate::service::DebugService;
 
@@ -301,14 +300,7 @@ where
         if line.is_empty() {
             continue;
         }
-        let (seq, request) = decode_line(&line);
-        let queued = match request {
-            Ok(request) => handle.submit(session, seq, request),
-            // Undecodable lines get ordered error replies, same as
-            // every other server front.
-            Err(message) => handle.reject(session, seq, message),
-        };
-        if !queued {
+        if !handle.submit_line(session, &line) {
             break;
         }
         // Forward outbound messages until this line's reply has gone

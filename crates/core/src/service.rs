@@ -20,6 +20,12 @@
 //! * [`Request::Batch`] executes many requests in one command, so
 //!   scripted frontends pay one round-trip per script, not per poke.
 //!
+//! Requests take one path whoever runs them: the service thread and
+//! the in-process [`dispatch`] drive the same interpreter, and every
+//! `continue` runs the runtime's one sliced loop
+//! ([`Runtime::continue_run`]'s). The service's between-slice hook
+//! pumps its command queue; under `dispatch` the hook does nothing.
+//!
 //! # Session-scoped debug state
 //!
 //! Breakpoints and watchpoints are owned by the session that inserted
@@ -56,11 +62,12 @@
 //!   everyone else. [`DebugService::shutdown`] returns `Err` instead
 //!   of re-panicking if the thread itself ever dies.
 //! * **Interruptible continues.** A `continue` runs as bounded slices
-//!   ([`Runtime::continue_slice`]); between slices the service drains
-//!   its command queue, answering other sessions' requests and
-//!   honoring [`Request::Interrupt`] (stop reason `"interrupted"`) and
-//!   per-request cycle/wall-clock budgets (`"budget_exhausted"`). A
-//!   breakpoint-free continue no longer starves the service.
+//!   (2048 cycles or 5ms); between slices the service drains its
+//!   command queue, answering other sessions' requests and honoring
+//!   [`Request::Interrupt`] (stop reason `"interrupted"`). Per-request
+//!   cycle/wall-clock budgets (`"budget_exhausted"`) are enforced by
+//!   the same loop. A breakpoint-free continue never starves the
+//!   service.
 //! * **Connection liveness.** The TCP front bounds inbound line length,
 //!   reaps sessions idle past [`TcpServerConfig::idle_timeout`]
 //!   (clearing their debug state), answers [`Request::Ping`], tracks
@@ -71,6 +78,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,14 +89,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use microjson::Json;
 use rtl_sim::{HierNode, SimControl};
 
-use crate::fault;
 use crate::outbound::{outbound_queue, OutboundQueue, OutboundReceiver, DEFAULT_OUTBOUND_CAPACITY};
 use crate::protocol::{
     decode_line, encode_server_exiting, outcome_response, Request, Response, SessionId,
 };
-use crate::runtime::{
-    DebugError, RunOutcome, Runtime, SliceOutcome, StopEvent, StopKind, LOCAL_SESSION,
-};
+use crate::runtime::{DebugError, RunOutcome, Runtime, StopEvent, LOCAL_SESSION};
 use crate::server::{LineReader, ReadLine};
 
 pub use crate::outbound::Outbound;
@@ -221,10 +226,24 @@ impl ServiceHandle {
             .is_ok()
     }
 
-    /// Queues an error reply for a line that failed to decode. Ordered
-    /// with [`ServiceHandle::submit`] through the same command queue.
-    /// Returns `false` when the service has shut down.
-    pub fn reject(&self, session: SessionId, seq: Option<u64>, message: String) -> bool {
+    /// Decodes one wire line and queues it: a request for execution, an
+    /// undecodable line as an error reply. The reply goes through the
+    /// command queue like any other, so it cannot overtake replies to
+    /// requests the same connection already has in flight. Every
+    /// server front reads its lines through here. Returns `false` when
+    /// the service has shut down.
+    pub(crate) fn submit_line(&self, session: SessionId, line: &str) -> bool {
+        let (seq, request) = decode_line(line);
+        match request {
+            Ok(request) => self.submit(session, seq, request),
+            Err(message) => self.reject(session, seq, message),
+        }
+    }
+
+    /// Queues an error reply, ordered with [`ServiceHandle::submit`]
+    /// through the same command queue. Returns `false` when the
+    /// service has shut down.
+    fn reject(&self, session: SessionId, seq: Option<u64>, message: String) -> bool {
         self.cmd
             .send(Command::Reject {
                 session,
@@ -321,13 +340,7 @@ impl crate::server::Transport for ServiceTransport {
         if self.closed {
             return Err("session closed".into());
         }
-        let (seq, request) = decode_line(line);
-        let queued = match request {
-            Ok(request) => self.handle.submit(self.session, seq, request),
-            // Undecodable lines become ordered error replies.
-            Err(message) => self.handle.reject(self.session, seq, message),
-        };
-        if queued {
+        if self.handle.submit_line(self.session, line) {
             Ok(())
         } else {
             Err("service shut down".into())
@@ -373,7 +386,6 @@ impl<S: SimControl + Send + 'static> DebugService<S> {
     /// Moves the runtime onto a new service thread and starts
     /// accepting commands.
     pub fn spawn(runtime: Runtime<S>) -> DebugService<S> {
-        fault::arm_from_env();
         let (cmd_tx, cmd_rx) = unbounded();
         let thread = std::thread::spawn(move || service_loop(runtime, &cmd_rx));
         DebugService {
@@ -415,21 +427,8 @@ impl<S: SimControl> Drop for DebugService<S> {
     }
 }
 
-/// Cycle bound of one continue slice. Large enough that the slicing
-/// overhead (a queue poll per slice) vanishes against per-cycle
-/// evaluation cost, small enough that an empty-design slice completes
-/// in well under a millisecond.
-const SLICE_CYCLES: u64 = 2048;
-
-/// Wall-clock bound of one continue slice, for designs slow enough
-/// that even [`SLICE_CYCLES`] cycles would hold the command queue
-/// hostage. This is the service's worst-case responsiveness while a
-/// continue is in flight (the <50ms regression bound in the chaos
-/// suite leaves ~10x headroom).
-const SLICE_WALL: Duration = Duration::from_millis(5);
-
-/// The session currently running a sliced `continue` on the service
-/// thread, and whether anyone has asked it to stop.
+/// The session currently running a `continue` on the service thread,
+/// and whether anyone has asked it to stop.
 struct ActiveRun {
     session: SessionId,
     interrupted: bool,
@@ -513,27 +512,6 @@ fn command_session(cmd: &Command) -> Option<SessionId> {
         | Command::Reject { session, .. }
         | Command::Close { session } => Some(*session),
         Command::Open { .. } | Command::Shutdown => None,
-    }
-}
-
-/// Whether a request advances the simulation — recursively, so a batch
-/// smuggling a `continue` counts. Advancing requests are never
-/// executed between another session's slices (two interleaved runs
-/// would corrupt both sessions' notion of "the" stop).
-fn is_advancing(request: &Request) -> bool {
-    match request {
-        Request::Continue { .. }
-        | Request::Step { .. }
-        | Request::ReverseStep
-        | Request::ReverseContinue
-        // Checkpoint and restore move or capture simulation state, and
-        // a mid-run `Expired` slice leaves the scheduler cursor inside
-        // a cycle that a snapshot would not capture — both wait their
-        // turn like any other state-moving request.
-        | Request::Checkpoint
-        | Request::Restore { .. } => true,
-        Request::Batch { requests } => requests.iter().any(is_advancing),
-        _ => false,
     }
 }
 
@@ -633,9 +611,13 @@ fn execute_command<S: SimControl>(
         return;
     }
     let label = request.kind_name();
-    let advancing = is_advancing(&request);
-    let mut stops = Vec::new();
-    let mut sub_update = None;
+    let advancing = request.is_advancing();
+    let mut interpreter = Interpreter {
+        session,
+        service: Some((&mut *state, cmd_rx)),
+        stops: Vec::new(),
+        subscription: None,
+    };
     // Captured *inside* the panic-isolation closure: `Some` means the
     // runtime seeded its checkpoint ring and the simulation may have
     // moved, so a panic must roll back to this cycle. A panic before
@@ -646,16 +628,13 @@ fn execute_command<S: SimControl>(
         if advancing {
             pre_cycle = Some(runtime.prepare_advance());
         }
-        service_execute(
-            state,
-            runtime,
-            cmd_rx,
-            session,
-            request,
-            &mut stops,
-            &mut sub_update,
-        )
+        interpreter.run(runtime, request)
     }));
+    let Interpreter {
+        mut stops,
+        subscription,
+        ..
+    } = interpreter;
     let mut dead: Vec<SessionId> = Vec::new();
     let (response, done) = match result {
         Ok(ok) => ok,
@@ -696,7 +675,7 @@ fn execute_command<S: SimControl>(
             )
         }
     };
-    if let (Some(sub), Some(s)) = (sub_update, state.sessions.get_mut(&session)) {
+    if let (Some(sub), Some(s)) = (subscription, state.sessions.get_mut(&session)) {
         s.sub = sub;
     }
     // A failed push means the session's transport is gone or its queue
@@ -739,205 +718,6 @@ fn execute_command<S: SimControl>(
     }
 }
 
-/// The service-thread request interpreter: [`execute`]'s semantics
-/// plus the service-only behaviors — `continue` runs as interruptible
-/// slices pumping the command queue, and `interrupt` stops whatever
-/// run is in flight.
-fn service_execute<S: SimControl>(
-    state: &mut ServiceState,
-    runtime: &mut Runtime<S>,
-    cmd_rx: &Receiver<Command>,
-    session: SessionId,
-    request: Request,
-    stops: &mut Vec<StopEvent>,
-    sub_update: &mut Option<Subscription>,
-) -> (Response, bool) {
-    match request {
-        Request::Batch { requests } => {
-            let mut responses = Vec::with_capacity(requests.len());
-            let mut done = false;
-            for req in requests {
-                if done {
-                    responses.push(Response::Error {
-                        message: "request after detach in batch".into(),
-                    });
-                    continue;
-                }
-                let (resp, d) =
-                    service_execute(state, runtime, cmd_rx, session, req, stops, sub_update);
-                done |= d;
-                responses.push(resp);
-            }
-            (Response::Batch { responses }, done)
-        }
-        Request::Subscribe {
-            files,
-            instances,
-            kinds,
-        } => {
-            *sub_update = Some(Subscription {
-                files,
-                instances,
-                kinds,
-            });
-            (Response::Ok, false)
-        }
-        Request::Interrupt => {
-            // Interrupting is an explicitly shared-resource action: the
-            // simulation belongs to every attached session, so any
-            // session may stop a runaway continue. With nothing in
-            // flight it is a harmless no-op.
-            if let Some(run) = &mut state.active_run {
-                run.interrupted = true;
-            }
-            (Response::Ok, false)
-        }
-        Request::Continue {
-            max_cycles,
-            budget_cycles,
-            budget_ms,
-        } => {
-            fault::maybe_panic_at("execute", "continue");
-            let outcome = run_interruptible(
-                state,
-                runtime,
-                cmd_rx,
-                session,
-                (max_cycles, budget_cycles, budget_ms),
-            );
-            let resp = match outcome {
-                Ok(outcome) => outcome_response(outcome),
-                Err(e) => error_response(e),
-            };
-            if let Response::Stopped { event } = &resp {
-                if event.reason.is_broadcast() {
-                    stops.push(event.clone());
-                }
-            }
-            (resp, false)
-        }
-        other => {
-            fault::maybe_panic_at("execute", other.kind_name());
-            let advancing = matches!(
-                other,
-                Request::Step { .. }
-                    | Request::ReverseStep
-                    | Request::ReverseContinue
-                    | Request::Restore { .. }
-            );
-            let (resp, done) = handle_request(runtime, session, other);
-            if advancing {
-                if let Response::Stopped { event } = &resp {
-                    if event.reason.is_broadcast() {
-                        stops.push(event.clone());
-                    }
-                }
-            }
-            (resp, done)
-        }
-    }
-}
-
-/// Runs a `continue` as bounded slices, draining the command queue
-/// between slices so other sessions stay serviceable and interrupts
-/// and budgets take effect mid-run. `limits` is
-/// `(max_cycles, budget_cycles, budget_ms)`.
-fn run_interruptible<S: SimControl>(
-    state: &mut ServiceState,
-    runtime: &mut Runtime<S>,
-    cmd_rx: &Receiver<Command>,
-    session: SessionId,
-    limits: (Option<u64>, Option<u64>, Option<u64>),
-) -> Result<RunOutcome, DebugError> {
-    let (max_cycles, budget_cycles, budget_ms) = limits;
-    state.active_run = Some(ActiveRun {
-        session,
-        interrupted: false,
-    });
-    let result = run_slices(
-        state,
-        runtime,
-        cmd_rx,
-        session,
-        max_cycles,
-        budget_cycles,
-        budget_ms,
-    );
-    state.active_run = None;
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_slices<S: SimControl>(
-    state: &mut ServiceState,
-    runtime: &mut Runtime<S>,
-    cmd_rx: &Receiver<Command>,
-    session: SessionId,
-    max_cycles: Option<u64>,
-    budget_cycles: Option<u64>,
-    budget_ms: Option<u64>,
-) -> Result<RunOutcome, DebugError> {
-    let budget_deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut remaining_max = max_cycles;
-    let mut remaining_budget = budget_cycles;
-    loop {
-        // Drain every queued command before burning more cycles:
-        // answer other sessions inline, defer what must wait, notice
-        // interrupts and shutdown.
-        loop {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => interleave(state, runtime, cmd_rx, cmd),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    state.shutdown = true;
-                    break;
-                }
-            }
-        }
-        let interrupted = state.shutdown
-            || state
-                .active_run
-                .as_ref()
-                .is_none_or(|run| run.interrupted || run.session != session);
-        if interrupted {
-            return Ok(RunOutcome::Stopped(
-                runtime.control_stop(StopKind::Interrupted),
-            ));
-        }
-        if remaining_budget == Some(0) || budget_deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(RunOutcome::Stopped(
-                runtime.control_stop(StopKind::BudgetExhausted),
-            ));
-        }
-        let slice = SLICE_CYCLES
-            .min(remaining_max.unwrap_or(u64::MAX))
-            .min(remaining_budget.unwrap_or(u64::MAX));
-        let wall = Instant::now() + SLICE_WALL;
-        let slice_deadline = Some(match budget_deadline {
-            Some(d) => wall.min(d),
-            None => wall,
-        });
-        match runtime.continue_slice(slice, slice_deadline)? {
-            SliceOutcome::Stopped(event) => return Ok(RunOutcome::Stopped(event)),
-            SliceOutcome::Finished { time } => return Ok(RunOutcome::Finished { time }),
-            SliceOutcome::Expired { cycles } => {
-                if let Some(m) = &mut remaining_max {
-                    *m = m.saturating_sub(cycles);
-                }
-                if let Some(b) = &mut remaining_budget {
-                    *b = b.saturating_sub(cycles);
-                }
-                if remaining_max == Some(0) {
-                    // The caller's cycle bound is spent: same bounded
-                    // finish as an unsliced continue_run.
-                    return Ok(runtime.finish_bounded_run());
-                }
-            }
-        }
-        fault::maybe_panic("slice");
-    }
-}
-
 /// Handles one command that arrived while a `continue` was in flight.
 ///
 /// Inline-safe commands (another session's query, an open, an
@@ -969,7 +749,7 @@ fn interleave<S: SimControl>(
                 execute_command(state, runtime, cmd_rx, session, seq, request);
             } else if Some(session) == running
                 || state.deferred_sessions.contains(&session)
-                || is_advancing(&request)
+                || request.is_advancing()
             {
                 state.defer(Command::Execute {
                     session,
@@ -1004,68 +784,240 @@ fn interleave<S: SimControl>(
     }
 }
 
-/// Executes one request (batches recurse) on behalf of `session`,
-/// additionally collecting the stop events that should be broadcast to
-/// other sessions — only stops produced by simulation-*advancing*
-/// requests count (a `frames` re-query also answers
-/// `Response::Stopped`, but nothing changed; rebroadcasting it would
-/// send every viewer a phantom stop misattributed to the querying
-/// session) — and any subscription replacement the request carried.
-fn execute<S: SimControl>(
+/// A `continue` on the service thread: between slices it fires the
+/// `slice` fault point, answers or defers every queued command, and
+/// ends the run once it is interrupted, its session has closed, or the
+/// service is shutting down.
+fn pumped_continue<S: SimControl>(
+    state: &mut ServiceState,
+    cmd_rx: &Receiver<Command>,
     runtime: &mut Runtime<S>,
     session: SessionId,
-    request: Request,
-    stops: &mut Vec<StopEvent>,
-    sub_update: &mut Option<Subscription>,
-) -> (Response, bool) {
-    match request {
-        Request::Batch { requests } => {
-            let mut responses = Vec::with_capacity(requests.len());
-            let mut done = false;
-            for req in requests {
-                if done {
-                    responses.push(Response::Error {
-                        message: "request after detach in batch".into(),
-                    });
-                    continue;
+    max_cycles: Option<u64>,
+    budget_cycles: Option<u64>,
+    budget_ms: Option<u64>,
+) -> Result<RunOutcome, DebugError> {
+    state.active_run = Some(ActiveRun {
+        session,
+        interrupted: false,
+    });
+    let outcome = runtime.continue_sliced(max_cycles, budget_cycles, budget_ms, |runtime| {
+        runtime.faults().hit("slice");
+        loop {
+            match cmd_rx.try_recv() {
+                Ok(cmd) => interleave(state, runtime, cmd_rx, cmd),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    state.shutdown = true;
+                    break;
                 }
-                let (resp, d) = execute(runtime, session, req, stops, sub_update);
-                done |= d;
-                responses.push(resp);
             }
-            (Response::Batch { responses }, done)
         }
-        Request::Subscribe {
-            files,
-            instances,
-            kinds,
-        } => {
-            *sub_update = Some(Subscription {
+        let running = !state.shutdown
+            && state
+                .active_run
+                .as_ref()
+                .is_some_and(|run| !run.interrupted && run.session == session);
+        if running {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    });
+    state.active_run = None;
+    outcome
+}
+
+/// The one request interpreter, run by [`dispatch`] and by the service
+/// thread alike. It executes a request on behalf of `session` (which
+/// scopes breakpoint and watchpoint ownership; batches recurse) and
+/// collects what only the service delivers: the stops of
+/// simulation-advancing requests, for broadcast, and the subscription
+/// a request carried.
+struct Interpreter<'a> {
+    session: SessionId,
+    /// The service thread's state and command queue, which a
+    /// `continue` pumps between slices and an `interrupt` stops.
+    /// `None` under [`dispatch`]: nothing else is queued or running.
+    service: Option<(&'a mut ServiceState, &'a Receiver<Command>)>,
+    stops: Vec<StopEvent>,
+    subscription: Option<Subscription>,
+}
+
+impl Interpreter<'_> {
+    /// Returns the response and whether the session ends (a detach
+    /// was executed).
+    fn run<S: SimControl>(
+        &mut self,
+        runtime: &mut Runtime<S>,
+        request: Request,
+    ) -> (Response, bool) {
+        runtime.faults().hit_request(request.kind_name());
+        let advancing = request.is_advancing();
+        let session = self.session;
+        let response = match request {
+            Request::Batch { requests } => {
+                let mut responses = Vec::with_capacity(requests.len());
+                let mut done = false;
+                for req in requests {
+                    if done {
+                        responses.push(Response::Error {
+                            message: "request after detach in batch".into(),
+                        });
+                        continue;
+                    }
+                    let (resp, d) = self.run(runtime, req);
+                    done |= d;
+                    responses.push(resp);
+                }
+                return (Response::Batch { responses }, done);
+            }
+            Request::Detach => return (Response::Ok, true),
+            Request::Subscribe {
                 files,
                 instances,
                 kinds,
-            });
-            (Response::Ok, false)
-        }
-        other => {
-            let advancing = matches!(
-                other,
-                Request::Continue { .. }
-                    | Request::Step { .. }
-                    | Request::ReverseStep
-                    | Request::ReverseContinue
-                    | Request::Restore { .. }
-            );
-            let (resp, done) = handle_request(runtime, session, other);
-            if advancing {
-                if let Response::Stopped { event } = &resp {
-                    if event.reason.is_broadcast() {
-                        stops.push(event.clone());
+            } => {
+                self.subscription = Some(Subscription {
+                    files,
+                    instances,
+                    kinds,
+                });
+                Response::Ok
+            }
+            // Interrupting is an explicitly shared-resource action: the
+            // simulation belongs to every attached session, so any
+            // session may stop a runaway continue. With nothing in
+            // flight it is a harmless no-op.
+            Request::Interrupt => {
+                if let Some((state, _)) = &mut self.service {
+                    if let Some(run) = &mut state.active_run {
+                        run.interrupted = true;
                     }
                 }
+                Response::Ok
             }
-            (resp, done)
+            Request::Continue {
+                max_cycles,
+                budget_cycles,
+                budget_ms,
+            } => {
+                let outcome = match &mut self.service {
+                    Some((state, cmd_rx)) => pumped_continue(
+                        state,
+                        cmd_rx,
+                        runtime,
+                        session,
+                        max_cycles,
+                        budget_cycles,
+                        budget_ms,
+                    ),
+                    None => runtime.continue_sliced(max_cycles, budget_cycles, budget_ms, |_| {
+                        ControlFlow::Continue(())
+                    }),
+                };
+                run_response(outcome)
+            }
+            Request::InsertBreakpoint {
+                filename,
+                line,
+                col,
+                condition,
+            } => {
+                match runtime.insert_breakpoint_for(
+                    session,
+                    &filename,
+                    line,
+                    col,
+                    condition.as_deref(),
+                ) {
+                    Ok(ids) => Response::Inserted { ids },
+                    Err(e) => error_response(e),
+                }
+            }
+            Request::RemoveBreakpoint { id } => match runtime.remove_breakpoint_for(session, id) {
+                Ok(()) => Response::Ok,
+                Err(e) => error_response(e),
+            },
+            Request::ListBreakpoints => Response::Breakpoints {
+                items: runtime.breakpoints_for(session),
+            },
+            Request::InsertWatchpoint { instance, expr } => {
+                match runtime.insert_watchpoint_for(session, instance.as_deref(), &expr) {
+                    Ok(id) => Response::WatchpointInserted { id },
+                    Err(e) => error_response(e),
+                }
+            }
+            Request::RemoveWatchpoint { id } => match runtime.remove_watchpoint_for(session, id) {
+                Ok(()) => Response::Ok,
+                Err(e) => error_response(e),
+            },
+            Request::ListWatchpoints => Response::Watchpoints {
+                items: runtime.watchpoints_for(session),
+            },
+            Request::Ping => Response::Pong,
+            Request::Lint => Response::LintReport {
+                report: runtime.lint_report(),
+            },
+            Request::Step { max_cycles } => run_response(runtime.step(max_cycles)),
+            Request::ReverseStep => run_response(runtime.reverse_step()),
+            Request::ReverseContinue => run_response(runtime.reverse_continue()),
+            Request::Checkpoint => match runtime.checkpoint_now() {
+                Ok(cycle) => Response::Checkpointed {
+                    cycle,
+                    checkpoints: runtime.checkpoints().len(),
+                    bytes: runtime.checkpoints().approx_bytes(),
+                },
+                Err(e) => error_response(e),
+            },
+            Request::Restore { cycle } => match runtime.restore_latest_or(cycle) {
+                Ok(event) => Response::Stopped { event },
+                Err(e) => error_response(e),
+            },
+            Request::Frames => match runtime.stopped() {
+                Some(event) => Response::Stopped {
+                    event: event.clone(),
+                },
+                None => Response::Error {
+                    message: "not stopped at a breakpoint".into(),
+                },
+            },
+            Request::Eval { instance, expr } => match runtime.eval(instance.as_deref(), &expr) {
+                Ok(v) => Response::Value {
+                    text: v.to_string(),
+                    width: v.width(),
+                },
+                Err(e) => error_response(e),
+            },
+            Request::SetValue {
+                instance,
+                name,
+                value,
+            } => {
+                let parsed = crate::expr::DebugExpr::parse(&value).and_then(|e| e.eval(&|_| None));
+                match parsed {
+                    Ok(v) => match runtime.set_variable(instance.as_deref(), &name, v) {
+                        Ok(()) => Response::Ok,
+                        Err(e) => error_response(e),
+                    },
+                    Err(e) => Response::Error {
+                        message: format!("bad value literal: {e}"),
+                    },
+                }
+            }
+            Request::Hierarchy => Response::Hierarchy {
+                tree: hier_json(&runtime.hierarchy()),
+            },
+            Request::Time => Response::Time {
+                time: runtime.time(),
+            },
+        };
+        if let (true, Response::Stopped { event }) = (advancing, &response) {
+            if event.reason.is_broadcast() {
+                self.stops.push(event.clone());
+            }
         }
+        (response, false)
     }
 }
 
@@ -1089,139 +1041,28 @@ fn error_response(e: DebugError) -> Response {
     }
 }
 
-/// Executes one request against the runtime as [`LOCAL_SESSION`] —
-/// including batches, which run their sub-requests in order and
-/// collect the responses. Returns the response and whether the
-/// session ends (a detach was executed). Subscription requests are
-/// acknowledged but have no effect outside a service session.
-pub fn dispatch<S: SimControl>(runtime: &mut Runtime<S>, request: Request) -> (Response, bool) {
-    execute(runtime, LOCAL_SESSION, request, &mut Vec::new(), &mut None)
+fn run_response(outcome: Result<RunOutcome, DebugError>) -> Response {
+    match outcome {
+        Ok(outcome) => outcome_response(outcome),
+        Err(e) => error_response(e),
+    }
 }
 
-/// Handles one non-batch request against the runtime on behalf of
-/// `session` (which scopes breakpoint/watchpoint ownership). Returns
-/// the response and whether the session should end.
-pub fn handle_request<S: SimControl>(
-    runtime: &mut Runtime<S>,
-    session: SessionId,
-    request: Request,
-) -> (Response, bool) {
-    let resp = match request {
-        Request::InsertBreakpoint {
-            filename,
-            line,
-            col,
-            condition,
-        } => {
-            match runtime.insert_breakpoint_for(session, &filename, line, col, condition.as_deref())
-            {
-                Ok(ids) => Response::Inserted { ids },
-                Err(e) => error_response(e),
-            }
-        }
-        Request::RemoveBreakpoint { id } => match runtime.remove_breakpoint_for(session, id) {
-            Ok(()) => Response::Ok,
-            Err(e) => error_response(e),
-        },
-        Request::ListBreakpoints => Response::Breakpoints {
-            items: runtime.breakpoints_for(session),
-        },
-        Request::InsertWatchpoint { instance, expr } => {
-            match runtime.insert_watchpoint_for(session, instance.as_deref(), &expr) {
-                Ok(id) => Response::WatchpointInserted { id },
-                Err(e) => error_response(e),
-            }
-        }
-        Request::RemoveWatchpoint { id } => match runtime.remove_watchpoint_for(session, id) {
-            Ok(()) => Response::Ok,
-            Err(e) => error_response(e),
-        },
-        Request::ListWatchpoints => Response::Watchpoints {
-            items: runtime.watchpoints_for(session),
-        },
-        Request::Subscribe { .. } => Response::Ok,
-        Request::Ping => Response::Pong,
-        // Outside a live service run there is nothing to interrupt;
-        // acknowledging keeps the request valid in batch/local use.
-        Request::Interrupt => Response::Ok,
-        Request::Lint => Response::LintReport {
-            report: runtime.lint_report(),
-        },
-        Request::Continue {
-            max_cycles,
-            budget_cycles,
-            budget_ms,
-        } => match runtime.continue_run_budgeted(max_cycles, budget_cycles, budget_ms) {
-            Ok(outcome) => outcome_response(outcome),
-            Err(e) => error_response(e),
-        },
-        Request::Step { max_cycles } => match runtime.step(max_cycles) {
-            Ok(outcome) => outcome_response(outcome),
-            Err(e) => error_response(e),
-        },
-        Request::ReverseStep => match runtime.reverse_step() {
-            Ok(outcome) => outcome_response(outcome),
-            Err(e) => error_response(e),
-        },
-        Request::ReverseContinue => match runtime.reverse_continue() {
-            Ok(outcome) => outcome_response(outcome),
-            Err(e) => error_response(e),
-        },
-        Request::Checkpoint => match runtime.checkpoint_now() {
-            Ok(cycle) => Response::Checkpointed {
-                cycle,
-                checkpoints: runtime.checkpoints().len(),
-                bytes: runtime.checkpoints().approx_bytes(),
-            },
-            Err(e) => error_response(e),
-        },
-        Request::Restore { cycle } => match runtime.restore_latest_or(cycle) {
-            Ok(event) => Response::Stopped { event },
-            Err(e) => error_response(e),
-        },
-        Request::Frames => match runtime.stopped() {
-            Some(event) => Response::Stopped {
-                event: event.clone(),
-            },
-            None => Response::Error {
-                message: "not stopped at a breakpoint".into(),
-            },
-        },
-        Request::Eval { instance, expr } => match runtime.eval(instance.as_deref(), &expr) {
-            Ok(v) => Response::Value {
-                text: v.to_string(),
-                width: v.width(),
-            },
-            Err(e) => error_response(e),
-        },
-        Request::SetValue {
-            instance,
-            name,
-            value,
-        } => {
-            let parsed = crate::expr::DebugExpr::parse(&value).and_then(|e| e.eval(&|_| None));
-            match parsed {
-                Ok(v) => match runtime.set_variable(instance.as_deref(), &name, v) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => error_response(e),
-                },
-                Err(e) => Response::Error {
-                    message: format!("bad value literal: {e}"),
-                },
-            }
-        }
-        Request::Hierarchy => Response::Hierarchy {
-            tree: hier_json(&runtime.hierarchy()),
-        },
-        Request::Time => Response::Time {
-            time: runtime.time(),
-        },
-        Request::Detach => return (Response::Ok, true),
-        Request::Batch { .. } => {
-            return execute(runtime, session, request, &mut Vec::new(), &mut None)
-        }
-    };
-    (resp, false)
+/// Executes one request against the runtime as [`LOCAL_SESSION`] —
+/// including batches, which run their sub-requests in order and
+/// collect the responses — through the same interpreter the service
+/// thread runs. Returns the response and whether the session ends (a
+/// detach was executed). Subscription requests are acknowledged but
+/// have no effect outside a service session, `interrupt` has nothing
+/// to stop, and no checkpoint is taken implicitly.
+pub fn dispatch<S: SimControl>(runtime: &mut Runtime<S>, request: Request) -> (Response, bool) {
+    Interpreter {
+        session: LOCAL_SESSION,
+        service: None,
+        stops: Vec::new(),
+        subscription: None,
+    }
+    .run(runtime, request)
 }
 
 /// Tunables for the TCP front's fault containment. The defaults suit
@@ -1491,15 +1332,7 @@ fn client_session(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let (seq, request) = decode_line(&line);
-                let queued = match request {
-                    Ok(request) => handle.submit(session, seq, request),
-                    // Routed through the service's command queue, so
-                    // the error reply cannot overtake replies still in
-                    // flight for earlier pipelined requests.
-                    Err(message) => handle.reject(session, seq, message),
-                };
-                if !queued {
+                if !handle.submit_line(session, &line) {
                     break;
                 }
             }

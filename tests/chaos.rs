@@ -9,12 +9,11 @@
 //! `DebugService::shutdown` still hands the runtime back without
 //! panicking.
 //!
-//! Panic-injection plans are process-global, so tests that arm one
-//! serialize on [`FAULT_LOCK`].
+//! A panic-injection plan is armed on the runtime a test serves, so
+//! tests that arm plans run side by side without touching each other's.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hgdb::client::connect_tcp;
@@ -25,8 +24,6 @@ use hgdb::{
 };
 use hgf::CircuitBuilder;
 use rtl_sim::Simulator;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn build_counter() -> (Simulator, symtab::SymbolTable, u32) {
     let mut cb = CircuitBuilder::new();
@@ -48,9 +45,14 @@ fn build_counter() -> (Simulator, symtab::SymbolTable, u32) {
 }
 
 fn spawn_service() -> (DebugService<Simulator>, u32) {
+    spawn_service_armed(FaultPlan::new())
+}
+
+fn spawn_service_armed(plan: FaultPlan) -> (DebugService<Simulator>, u32) {
     let (sim, symbols, bp_line) = build_counter();
-    let service = DebugService::spawn(Runtime::attach(sim, symbols).unwrap());
-    (service, bp_line)
+    let mut runtime = Runtime::attach(sim, symbols).unwrap();
+    runtime.arm_faults(plan);
+    (DebugService::spawn(runtime), bp_line)
 }
 
 /// Parses one outbound message from a raw session queue.
@@ -61,12 +63,9 @@ fn outbound_json(out: &Outbound) -> microjson::Json {
 
 #[test]
 fn injected_execute_panic_poisons_only_offender() {
-    let _fault = FAULT_LOCK.lock().unwrap();
-    let (service, bp_line) = spawn_service();
+    let (service, bp_line) = spawn_service_armed(FaultPlan::new().panic_at("execute:eval", 1));
     let mut a = DebugClient::new(service.handle().connect().unwrap());
     let mut b = DebugClient::new(service.handle().connect().unwrap());
-
-    let _armed = FaultPlan::new().panic_at("execute:eval", 1).arm();
 
     // A's eval panics inside the service; A gets a final error reply
     // naming the panic rather than a hung connection.
@@ -102,12 +101,9 @@ fn injected_execute_panic_poisons_only_offender() {
 
 #[test]
 fn injected_slice_panic_contained_midrun() {
-    let _fault = FAULT_LOCK.lock().unwrap();
-    let (service, _) = spawn_service();
+    let (service, _) = spawn_service_armed(FaultPlan::new().panic_at("slice", 1));
     let handle = service.handle();
     let mut b = DebugClient::new(handle.connect().unwrap());
-
-    let _armed = FaultPlan::new().panic_at("slice", 1).arm();
 
     // A raw session launches a breakpoint-free continue; the injected
     // panic fires between the first two slices, mid-run.
@@ -162,7 +158,6 @@ fn build_freerun() -> (Simulator, symtab::SymbolTable) {
 
 #[test]
 fn injected_midslice_panic_recovers_bit_identical() {
-    let _fault = FAULT_LOCK.lock().unwrap();
     // Several 2048-cycle slices, so the injected panic fires mid-run
     // with the simulation far from the pre-request state.
     const CYCLES: u64 = 5000;
@@ -181,10 +176,11 @@ fn injected_midslice_panic_recovers_bit_identical() {
 
     // Chaos: identical workload, panic between the first two slices.
     let (sim, symbols) = build_freerun();
-    let service = DebugService::spawn(Runtime::attach(sim, symbols).unwrap());
+    let mut runtime = Runtime::attach(sim, symbols).unwrap();
+    runtime.arm_faults(FaultPlan::new().panic_at("slice", 1));
+    let service = DebugService::spawn(runtime);
     let mut a = DebugClient::new(service.handle().connect().unwrap());
     let mut b = DebugClient::new(service.handle().connect().unwrap());
-    let _armed = FaultPlan::new().panic_at("slice", 1).arm();
 
     let err = a.continue_with(None, Some(CYCLES), None).unwrap_err();
     assert!(err.to_string().contains("panicked"), "{err}");
@@ -207,18 +203,13 @@ fn injected_midslice_panic_recovers_bit_identical() {
 
 #[test]
 fn failed_restore_degrades_until_explicit_restore() {
-    let _fault = FAULT_LOCK.lock().unwrap();
-    let (service, _) = spawn_service();
-    let mut a = DebugClient::new(service.handle().connect().unwrap());
-    let mut b = DebugClient::new(service.handle().connect().unwrap());
-
     // The slice panic triggers crash recovery; the restore fault then
     // kills the recovery itself, leaving the runtime degraded instead
     // of silently continuing from a half-executed cycle.
-    let _armed = FaultPlan::new()
-        .panic_at("slice", 1)
-        .panic_at("restore", 1)
-        .arm();
+    let (service, _) =
+        spawn_service_armed(FaultPlan::new().panic_at("slice", 1).panic_at("restore", 1));
+    let mut a = DebugClient::new(service.handle().connect().unwrap());
+    let mut b = DebugClient::new(service.handle().connect().unwrap());
 
     let err = a.continue_run(None).unwrap_err();
     assert!(err.to_string().contains("panicked"), "{err}");

@@ -5,8 +5,12 @@ use std::net::TcpListener;
 use std::thread;
 
 use bits::Bits;
-use hgdb::protocol::Request;
-use hgdb::{channel_pair, serve, DebugClient, DebugService, RunOutcome, Runtime, TcpDebugServer};
+use hgdb::protocol::{encode_request_line, encode_response_line, Request, Response};
+use hgdb::service::dispatch;
+use hgdb::{
+    channel_pair, serve, DebugClient, DebugService, RunOutcome, Runtime, SessionId, StopKind,
+    TcpDebugServer, Transport, LOCAL_SESSION,
+};
 use hgf::CircuitBuilder;
 use rtl_sim::Simulator;
 
@@ -351,6 +355,26 @@ fn replay_reverse_over_protocol() {
     let count_now = client.eval(None, "top.count").unwrap();
     assert!(count_now.parse::<u64>().unwrap() <= 9);
 
+    // Reverse-continue from a later stop lands on the earlier one, not
+    // back on the stop it started from: a trace advances ten time units
+    // per cycle, and the replay window is bounded in trace time.
+    client
+        .insert_breakpoint(file!(), bp_line, Some("count == 9 || count == 20"))
+        .unwrap();
+    let t_later = loop {
+        let stop = client.continue_run(None).unwrap();
+        assert_eq!(stop["type"].as_str(), Some("stopped"));
+        let hit = &stop["event"]["hits"][0];
+        if hit["locals"]["count"]["decimal"].as_str() == Some("20") {
+            break stop["event"]["time"].as_i64().unwrap();
+        }
+    };
+    assert!(t_forward < t_later);
+    let back = client.reverse_continue().unwrap();
+    assert_eq!(back["type"].as_str(), Some("stopped"));
+    assert_eq!(back["event"]["time"].as_i64(), Some(t_forward));
+    assert_eq!(client.eval(None, "top.count").unwrap(), "9");
+
     client.detach().unwrap();
     server.join().unwrap();
     let _ = Bits::from_bool(true);
@@ -424,4 +448,104 @@ fn live_sim_reverse_over_protocol() {
 
     client.detach().unwrap();
     server.join().unwrap();
+}
+
+/// `response` as the service reports it to `session`: a stop names its
+/// owning session by the service-assigned id, not `LOCAL_SESSION`.
+fn owned_by(response: Response, session: SessionId) -> Response {
+    match response {
+        Response::Stopped { mut event } => {
+            for owner in &mut event.sessions {
+                if *owner == LOCAL_SESSION {
+                    *owner = session;
+                }
+            }
+            Response::Stopped { event }
+        }
+        Response::Batch { responses } => Response::Batch {
+            responses: responses
+                .into_iter()
+                .map(|r| owned_by(r, session))
+                .collect(),
+        },
+        other => other,
+    }
+}
+
+/// One request path, two callers: the same script through `dispatch`
+/// and through a service session, on identically built runtimes,
+/// yields identical replies.
+#[test]
+fn dispatch_and_service_answer_alike() {
+    let (sim, symbols, bp_line) = build_counter();
+    let mut local = Runtime::attach(sim, symbols).unwrap();
+    let (sim, symbols, _) = build_counter();
+    let service = DebugService::spawn(Runtime::attach(sim, symbols).unwrap());
+    let mut remote = service.handle().connect().unwrap();
+    let session = remote.session();
+
+    let cont = |max_cycles, budget_cycles| Request::Continue {
+        max_cycles,
+        budget_cycles,
+        budget_ms: None,
+    };
+    let script = vec![
+        Request::Checkpoint,
+        Request::InsertBreakpoint {
+            filename: file!().to_owned(),
+            line: bp_line,
+            col: None,
+            condition: Some("count == 5 || count == 40".to_owned()),
+        },
+        cont(None, Some(3)),
+        Request::Batch {
+            requests: vec![Request::Time, cont(Some(1000), None), Request::Frames],
+        },
+        Request::Interrupt,
+        cont(Some(1000), Some(10_000)),
+        Request::Step {
+            max_cycles: Some(10),
+        },
+        Request::ReverseStep,
+        Request::ReverseContinue,
+        Request::Restore { cycle: None },
+        Request::Time,
+    ];
+    let mut replies = Vec::new();
+    for (seq, request) in script.into_iter().enumerate() {
+        let seq = Some(seq as u64);
+        remote
+            .send(&encode_request_line(&request, seq).to_string())
+            .unwrap();
+        let served = remote.recv().expect("service replies");
+        // The service seeds its crash-recovery checkpoint before every
+        // advancing request; `dispatch` leaves that to its caller.
+        if request.is_advancing() {
+            local.prepare_advance();
+        }
+        let (response, done) = dispatch(&mut local, request);
+        assert!(!done);
+        let expected = encode_response_line(&owned_by(response.clone(), session), seq, session);
+        assert_eq!(served, expected.to_string());
+        replies.push(response);
+    }
+
+    // The script exercised what it names rather than erroring alike.
+    let reason = |r: &Response| match r {
+        Response::Stopped { event } => Some(event.reason),
+        _ => None,
+    };
+    assert_eq!(reason(&replies[2]), Some(StopKind::BudgetExhausted));
+    let Response::Batch { responses } = &replies[3] else {
+        panic!("batch answers a batch: {:?}", replies[3]);
+    };
+    assert_eq!(reason(&responses[1]), Some(StopKind::Breakpoint));
+    assert_eq!(replies[4], Response::Ok);
+    assert_eq!(reason(&replies[5]), Some(StopKind::Breakpoint));
+    assert!(reason(&replies[6]).is_some() && reason(&replies[7]).is_some());
+    assert_eq!(reason(&replies[8]), Some(StopKind::Breakpoint));
+    assert_eq!(reason(&replies[9]), Some(StopKind::Restored));
+
+    drop(remote);
+    service.shutdown().unwrap();
 }
