@@ -7,14 +7,16 @@
 //! Two designs bracket the value-representation regimes:
 //!
 //! * `rv32_core` — the RocketChip stand-in; nearly all signals are
-//!   ≤64 bits (the inline `Bits` representation, zero-allocation path);
+//!   ≤64 bits (the inline `Bits` representation, zero-allocation path).
+//!   It runs [`bench::executing_workload`], which is still executing
+//!   at the end of every batch (a halted core would clock idle);
 //! * `wide_datapath` — 192-bit pipeline registers (multi-word heap
 //!   `Bits`), stressing word-level slice/concat/xor.
 //!
 //! Baselines live in `BENCH_sim_throughput.json` at the repo root; the
 //! `sim_throughput` binary reproduces them (it prints the JSON).
 
-use bench::{compile_core, loaded_sim, loaded_wide_sim, measure_throughput};
+use bench::{compile_core, executing_workload, loaded_sim, loaded_wide_sim, measure_throughput};
 use bits::Bits;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rtl_sim::SimControl;
@@ -23,7 +25,7 @@ const CYCLES: u64 = 2000;
 
 fn sim_throughput(c: &mut Criterion) {
     let core = compile_core(false);
-    let workload = rv32::programs::multiply();
+    let workload = executing_workload();
 
     let mut group = c.benchmark_group("sim_throughput");
     group.sample_size(10);

@@ -1,12 +1,13 @@
 //! Diagnostic: per-cycle cost of plain stepping vs runtime-driven
-//! stepping (not part of the experiment suite).
-use bench::{compile_core, loaded_sim, symbols_for};
+//! stepping (not part of the experiment suite), on a core that is
+//! still executing at the end of every timed loop.
+use bench::{compile_core, executing_workload, loaded_sim, symbols_for};
 use rtl_sim::SimControl;
 use std::time::Instant;
 
 fn main() {
     let core = compile_core(false);
-    let workload = rv32::programs::multiply();
+    let workload = executing_workload();
     const N: u64 = 20_000;
 
     for _ in 0..2 {

@@ -40,11 +40,10 @@
 //! nothing the debugger's users run.
 
 use bench::{
-    compile_core, loaded_sim_with, loaded_wide_sim_with, measure_throughput_checkpointed,
-    measure_throughput_warmed, run_plain,
+    compile_core, executing_workload, loaded_sim_with, loaded_wide_sim_with,
+    measure_throughput_checkpointed, measure_throughput_warmed, run_plain,
 };
 use rtl_sim::{SimConfig, SimControl, Simulator};
-use rv32::programs::Program;
 
 struct Row {
     design: &'static str,
@@ -67,32 +66,10 @@ fn config_for(workers: usize, force_parallel: bool) -> SimConfig {
     cfg
 }
 
-/// The timed rv32 workload: `multiply`'s kernel with its loop bound
-/// raised from 10 to 1000, so the core is still executing (≈5M
-/// cycles) at the end of the longest window measured here. Timing the
-/// suite's `multiply` itself would time a halted core clocking idle
-/// from cycle 534 on, which runs ~20x faster than execution.
-fn executing_workload() -> Program {
-    let multiply = rv32::programs::multiply();
-    Program {
-        name: "multiply-1000",
-        source: multiply.source.replace("li t3, 10\n", "li t3, 1000\n"),
-        // (1 + ... + 1000)^2 mod 2^32.
-        expected: 1_392_146_832,
-        dual_core: false,
-    }
-}
-
 /// Loads [`executing_workload`] on the release-mode core.
 fn executing_sim(workers: usize) -> (Simulator, String) {
     let core = compile_core(false);
-    let workload = executing_workload();
-    assert_ne!(
-        workload.source,
-        rv32::programs::multiply().source,
-        "multiply's loop bound moved; update executing_workload"
-    );
-    let sim = loaded_sim_with(&core, &workload, config_for(workers, false));
+    let sim = loaded_sim_with(&core, &executing_workload(), config_for(workers, false));
     (sim, format!("{}.halted", core.top))
 }
 

@@ -288,6 +288,32 @@ pub fn measure_throughput_checkpointed(
     (cycles as f64 / secs.max(1e-9), overhead)
 }
 
+/// A workload that is still executing after millions of cycles, for
+/// timing loops: `multiply`'s kernel with its loop bound raised from
+/// 10 to 1000 (≈5M cycles). The suite's `multiply` halts at cycle 534,
+/// and a halted core clocks idle ~20x faster than it executes, so a
+/// loop that outlived it would time idle clocking.
+///
+/// # Panics
+///
+/// Panics if `multiply`'s loop bound moved and the raise no longer
+/// applies.
+pub fn executing_workload() -> Program {
+    let multiply = rv32::programs::multiply();
+    let source = multiply.source.replace("li t3, 10\n", "li t3, 1000\n");
+    assert_ne!(
+        source, multiply.source,
+        "multiply's loop bound moved; update executing_workload"
+    );
+    Program {
+        name: "multiply-1000",
+        source,
+        // (1 + ... + 1000)^2 mod 2^32.
+        expected: 1_392_146_832,
+        dual_core: false,
+    }
+}
+
 /// Creates a simulator with `program` loaded (and the second-half
 /// program on core1 for dual-core designs).
 pub fn loaded_sim(core: &CompiledCore, workload: &Program) -> Simulator {

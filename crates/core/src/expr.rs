@@ -190,57 +190,45 @@ impl DebugExpr {
     /// Returns [`ExprError::Unresolved`] for unknown names or
     /// [`ExprError::Invalid`] for bad slices.
     pub fn eval4(&self, resolve: &dyn Fn(&str) -> Option<Bits4>) -> Result<Bits4, ExprError> {
+        eval4_tree(self, &|name: &String| {
+            resolve(name).ok_or_else(|| ExprError::Unresolved(name.clone()))
+        })
+    }
+
+    /// Resolves each distinct referenced name once, through `resolve`,
+    /// and returns the expression in a form whose references are slots
+    /// into that table. The runtime binds enables, conditions and
+    /// watches when they are attached or inserted, so evaluating them
+    /// every cycle looks no name up.
+    pub(crate) fn bind<R>(&self, mut resolve: impl FnMut(&str) -> R) -> Bound<R> {
+        let mut refs: Vec<(String, R)> = Vec::new();
+        let root = self.bind_node(&mut |name| {
+            refs.iter().position(|(n, _)| n == name).unwrap_or_else(|| {
+                refs.push((name.to_owned(), resolve(name)));
+                refs.len() - 1
+            })
+        });
+        Bound { root, refs }
+    }
+
+    fn bind_node(&self, slot: &mut dyn FnMut(&str) -> usize) -> Node {
         match self {
-            DebugExpr::Lit(b) => Ok(b.clone()),
-            DebugExpr::Ref(name) => {
-                resolve(name).ok_or_else(|| ExprError::Unresolved(name.clone()))
-            }
-            DebugExpr::Unary(op, e) => {
-                let v = e.eval4(resolve)?;
-                Ok(match op {
-                    UnOp::Not => v.not(),
-                    UnOp::LNot => match v.truthiness() {
-                        Some(t) => Bits4::known(Bits::from_bool(!t)),
-                        None => Bits4::all_x(1),
-                    },
-                    UnOp::Neg => v.neg(),
-                    UnOp::RAnd => v.reduce_and(),
-                    UnOp::ROr => v.reduce_or(),
-                    UnOp::RXor => v.reduce_xor(),
-                })
-            }
-            DebugExpr::Binary(op, l, r) => {
-                let a = l.eval4(resolve)?;
-                let b = r.eval4(resolve)?;
-                Ok(apply_bin4(*op, &a, &b))
-            }
-            DebugExpr::Mux(s, t, e) => match s.eval4(resolve)?.truthiness() {
-                Some(true) => t.eval4(resolve),
-                Some(false) => e.eval4(resolve),
-                // An x select merges both arms: agreeing known bits
-                // survive, everything else goes x — the simulator's
-                // X-select semantics (IEEE-1800 §11.4.11).
-                None => {
-                    let tv = t.eval4(resolve)?;
-                    let ev = e.eval4(resolve)?;
-                    let w = tv.width().max(ev.width());
-                    Ok(Bits4::merge(&tv.resize(w), &ev.resize(w)))
-                }
-            },
-            DebugExpr::Slice(e, hi, lo) => {
-                let v = e.eval4(resolve)?;
-                if *hi < *lo || *hi >= v.width() {
-                    return Err(ExprError::Invalid(format!(
-                        "slice [{hi}:{lo}] out of width {}",
-                        v.width()
-                    )));
-                }
-                Ok(v.slice(*hi, *lo))
-            }
+            DebugExpr::Lit(b) => Node::Lit(b.clone()),
+            DebugExpr::Ref(name) => Node::Ref(slot(name)),
+            DebugExpr::Unary(op, e) => Node::Unary(*op, Box::new(e.bind_node(slot))),
+            DebugExpr::Binary(op, l, r) => Node::Binary(
+                *op,
+                Box::new(l.bind_node(slot)),
+                Box::new(r.bind_node(slot)),
+            ),
+            DebugExpr::Mux(s, t, e) => Node::Mux(
+                Box::new(s.bind_node(slot)),
+                Box::new(t.bind_node(slot)),
+                Box::new(e.bind_node(slot)),
+            ),
+            DebugExpr::Slice(e, hi, lo) => Node::Slice(Box::new(e.bind_node(slot)), *hi, *lo),
             DebugExpr::Cat(h, l) => {
-                let hv = h.eval4(resolve)?;
-                let lv = l.eval4(resolve)?;
-                Ok(hv.concat(&lv))
+                Node::Cat(Box::new(h.bind_node(slot)), Box::new(l.bind_node(slot)))
             }
         }
     }
@@ -268,6 +256,153 @@ impl DebugExpr {
                 t.collect(out);
                 e.collect(out);
             }
+        }
+    }
+}
+
+/// An expression whose references were resolved when it was bound
+/// ([`DebugExpr::bind`]): each reference is a slot in `refs`, which
+/// pairs the name with what it was bound to.
+#[derive(Debug)]
+pub(crate) struct Bound<R> {
+    root: Node,
+    refs: Vec<(String, R)>,
+}
+
+impl<R> Bound<R> {
+    /// Evaluates like [`DebugExpr::eval4`], reading each reference
+    /// through `read`, which gets the name and its binding. A `None`
+    /// from `read` is an [`ExprError::Unresolved`] of that name.
+    pub(crate) fn eval4(
+        &self,
+        read: &dyn Fn(&str, &R) -> Option<Bits4>,
+    ) -> Result<Bits4, ExprError> {
+        eval4_tree(&self.root, &|&slot: &usize| {
+            let (name, binding) = &self.refs[slot];
+            read(name, binding).ok_or_else(|| ExprError::Unresolved(name.clone()))
+        })
+    }
+}
+
+/// [`DebugExpr`] with every reference replaced by its slot in
+/// [`Bound`]'s table.
+#[derive(Debug)]
+enum Node {
+    Lit(Bits4),
+    Ref(usize),
+    Unary(UnOp, Box<Node>),
+    Binary(BinOp, Box<Node>, Box<Node>),
+    Mux(Box<Node>, Box<Node>, Box<Node>),
+    Slice(Box<Node>, u32, u32),
+    Cat(Box<Node>, Box<Node>),
+}
+
+/// One node of either expression form, children borrowed, so both
+/// evaluate through the one [`eval4_tree`].
+enum Shape<'a, T, R> {
+    Lit(&'a Bits4),
+    Ref(&'a R),
+    Unary(UnOp, &'a T),
+    Binary(BinOp, &'a T, &'a T),
+    Mux(&'a T, &'a T, &'a T),
+    Slice(&'a T, u32, u32),
+    Cat(&'a T, &'a T),
+}
+
+/// An expression tree whose references are `Ref`s: names in a
+/// [`DebugExpr`], slots in a bound [`Node`].
+trait Tree: Sized {
+    type Ref;
+    fn shape(&self) -> Shape<'_, Self, Self::Ref>;
+}
+
+impl Tree for DebugExpr {
+    type Ref = String;
+
+    fn shape(&self) -> Shape<'_, Self, String> {
+        match self {
+            DebugExpr::Lit(b) => Shape::Lit(b),
+            DebugExpr::Ref(name) => Shape::Ref(name),
+            DebugExpr::Unary(op, e) => Shape::Unary(*op, e),
+            DebugExpr::Binary(op, l, r) => Shape::Binary(*op, l, r),
+            DebugExpr::Mux(s, t, e) => Shape::Mux(s, t, e),
+            DebugExpr::Slice(e, hi, lo) => Shape::Slice(e, *hi, *lo),
+            DebugExpr::Cat(h, l) => Shape::Cat(h, l),
+        }
+    }
+}
+
+impl Tree for Node {
+    type Ref = usize;
+
+    fn shape(&self) -> Shape<'_, Self, usize> {
+        match self {
+            Node::Lit(b) => Shape::Lit(b),
+            Node::Ref(slot) => Shape::Ref(slot),
+            Node::Unary(op, e) => Shape::Unary(*op, e),
+            Node::Binary(op, l, r) => Shape::Binary(*op, l, r),
+            Node::Mux(s, t, e) => Shape::Mux(s, t, e),
+            Node::Slice(e, hi, lo) => Shape::Slice(e, *hi, *lo),
+            Node::Cat(h, l) => Shape::Cat(h, l),
+        }
+    }
+}
+
+/// The four-state evaluator behind [`DebugExpr::eval4`] and
+/// [`Bound::eval4`]; `leaf` reads one reference.
+fn eval4_tree<T: Tree>(
+    node: &T,
+    leaf: &dyn Fn(&T::Ref) -> Result<Bits4, ExprError>,
+) -> Result<Bits4, ExprError> {
+    match node.shape() {
+        Shape::Lit(b) => Ok(b.clone()),
+        Shape::Ref(r) => leaf(r),
+        Shape::Unary(op, e) => {
+            let v = eval4_tree(e, leaf)?;
+            Ok(match op {
+                UnOp::Not => v.not(),
+                UnOp::LNot => match v.truthiness() {
+                    Some(t) => Bits4::known(Bits::from_bool(!t)),
+                    None => Bits4::all_x(1),
+                },
+                UnOp::Neg => v.neg(),
+                UnOp::RAnd => v.reduce_and(),
+                UnOp::ROr => v.reduce_or(),
+                UnOp::RXor => v.reduce_xor(),
+            })
+        }
+        Shape::Binary(op, l, r) => {
+            let a = eval4_tree(l, leaf)?;
+            let b = eval4_tree(r, leaf)?;
+            Ok(apply_bin4(op, &a, &b))
+        }
+        Shape::Mux(s, t, e) => match eval4_tree(s, leaf)?.truthiness() {
+            Some(true) => eval4_tree(t, leaf),
+            Some(false) => eval4_tree(e, leaf),
+            // An x select merges both arms: agreeing known bits
+            // survive, everything else goes x — the simulator's
+            // X-select semantics (IEEE-1800 §11.4.11).
+            None => {
+                let tv = eval4_tree(t, leaf)?;
+                let ev = eval4_tree(e, leaf)?;
+                let w = tv.width().max(ev.width());
+                Ok(Bits4::merge(&tv.resize(w), &ev.resize(w)))
+            }
+        },
+        Shape::Slice(e, hi, lo) => {
+            let v = eval4_tree(e, leaf)?;
+            if hi < lo || hi >= v.width() {
+                return Err(ExprError::Invalid(format!(
+                    "slice [{hi}:{lo}] out of width {}",
+                    v.width()
+                )));
+            }
+            Ok(v.slice(hi, lo))
+        }
+        Shape::Cat(h, l) => {
+            let hv = eval4_tree(h, leaf)?;
+            let lv = eval4_tree(l, leaf)?;
+            Ok(hv.concat(&lv))
         }
     }
 }
@@ -864,5 +999,44 @@ mod tests {
         assert_eq!(eval4("^sig", &env).truthiness(), None);
         // An x slice index is a parse error, not a silent bit pick.
         assert!(DebugExpr::parse("sig[4'hx]").is_err());
+    }
+
+    #[test]
+    fn bound_expressions_evaluate_like_parsed_ones() {
+        let env = [("a", 5, 8), ("b", 3, 8), ("top.c", 1, 1)];
+        let read = resolve(&env);
+        for src in [
+            "a + b * 2",
+            "mux(top.c, a, b) == a",
+            "{a[3:0], b[3:0]} ^ a",
+            "!(a < b) && |b",
+            "a - a + b",
+        ] {
+            let e = DebugExpr::parse(src).unwrap();
+            let mut resolved = Vec::new();
+            let bound = e.bind(|name| {
+                resolved.push(name.to_owned());
+                name.len()
+            });
+            let distinct: BTreeSet<String> = resolved.iter().cloned().collect();
+            assert_eq!(
+                resolved.len(),
+                distinct.len(),
+                "{src}: each name bound once"
+            );
+            assert_eq!(distinct, e.refs(), "{src}");
+            let got = bound.eval4(&|name, len| {
+                assert_eq!(name.len(), *len, "{src}: {name} read with its own binding");
+                read(name).map(Bits4::known)
+            });
+            let want = e.eval4(&|name| read(name).map(Bits4::known));
+            assert_eq!(got, want, "{src}");
+        }
+        let e = DebugExpr::parse("a + ghost").unwrap();
+        assert_eq!(
+            e.bind(|_| ())
+                .eval4(&|name, _| read(name).map(Bits4::known)),
+            Err(ExprError::Unresolved("ghost".into()))
+        );
     }
 }

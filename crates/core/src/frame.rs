@@ -130,38 +130,72 @@ impl Frame {
 /// Re-aggregates flat `(dotted name, value)` pairs into a forest of
 /// structured variables.
 pub fn build_var_tree(vars: &[(String, Option<Bits4>)]) -> Vec<VarNode> {
-    let mut roots: Vec<VarNode> = Vec::new();
-    for (name, value) in vars {
-        insert(
-            &mut roots,
-            name.split('.').collect::<Vec<_>>().as_slice(),
-            value,
-        );
-    }
-    roots
+    VarTemplate::new(
+        vars.iter()
+            .enumerate()
+            .map(|(i, (name, _))| (name.as_str(), i)),
+    )
+    .fill(&|i| vars[i].1.clone())
 }
 
-fn insert(nodes: &mut Vec<VarNode>, path: &[&str], value: &Option<Bits4>) {
-    if path.is_empty() {
-        return;
-    }
-    let head = path[0];
-    let node = match nodes.iter_mut().position(|n| n.name == head) {
-        Some(i) => &mut nodes[i],
-        None => {
-            nodes.push(VarNode {
-                name: head.to_owned(),
-                value: None,
-                children: Vec::new(),
-            });
-            nodes.last_mut().expect("just pushed")
+/// The shape of a structured-variable forest, with the source of each
+/// named node's value: [`build_var_tree`] without the values. The
+/// runtime builds one per instance at attach, so a stop only reads the
+/// values into a copy.
+#[derive(Debug, Default)]
+pub(crate) struct VarTemplate(Vec<TemplateNode>);
+
+#[derive(Debug)]
+struct TemplateNode {
+    name: String,
+    /// Where the value comes from; the last variable of this name wins.
+    source: Option<usize>,
+    children: Vec<TemplateNode>,
+}
+
+impl VarTemplate {
+    /// Shapes `(dotted name, value source)` pairs into a forest.
+    pub(crate) fn new<'a>(vars: impl IntoIterator<Item = (&'a str, usize)>) -> VarTemplate {
+        let mut roots = Vec::new();
+        for (name, source) in vars {
+            let mut nodes = &mut roots;
+            let mut segments = name.split('.').peekable();
+            while let Some(segment) = segments.next() {
+                let i = match nodes.iter().position(|n: &TemplateNode| n.name == segment) {
+                    Some(i) => i,
+                    None => {
+                        nodes.push(TemplateNode {
+                            name: segment.to_owned(),
+                            source: None,
+                            children: Vec::new(),
+                        });
+                        nodes.len() - 1
+                    }
+                };
+                if segments.peek().is_none() {
+                    nodes[i].source = Some(source);
+                }
+                nodes = &mut nodes[i].children;
+            }
         }
-    };
-    if path.len() == 1 {
-        node.value = value.clone();
-    } else {
-        insert(&mut node.children, &path[1..], value);
+        VarTemplate(roots)
     }
+
+    /// The forest with each named node's value read from its source.
+    pub(crate) fn fill(&self, read: &dyn Fn(usize) -> Option<Bits4>) -> Vec<VarNode> {
+        fill(&self.0, read)
+    }
+}
+
+fn fill(nodes: &[TemplateNode], read: &dyn Fn(usize) -> Option<Bits4>) -> Vec<VarNode> {
+    nodes
+        .iter()
+        .map(|n| VarNode {
+            name: n.name.clone(),
+            value: n.source.and_then(read),
+            children: fill(&n.children, read),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -268,6 +302,24 @@ mod tests {
         let mut tree_text = String::new();
         frame.generator[0].render(0, &mut tree_text);
         assert!(tree_text.contains("word = 8'hxf"), "render:\n{tree_text}");
+    }
+
+    #[test]
+    fn interior_values_and_repeated_names() {
+        // A name that is both a leaf and a bundle keeps its value and
+        // its fields; a repeated name takes the last value.
+        let tree = build_var_tree(&[
+            ("io".into(), v(1, 4)),
+            ("io.a".into(), v(2, 4)),
+            ("io".into(), v(3, 4)),
+        ]);
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree[0].value.as_ref().unwrap().value().to_u64(), 3);
+        assert_eq!(tree[0].children.len(), 1);
+        assert_eq!(
+            tree[0].children[0].value.as_ref().unwrap().value().to_u64(),
+            2
+        );
     }
 
     #[test]

@@ -89,6 +89,7 @@ pub mod server;
 pub mod service;
 
 mod runtime;
+mod symbols;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointRing};
 pub use client::{ClientError, DebugClient};

@@ -44,15 +44,16 @@ use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use bits::{Bits, Bits4};
-use rtl_sim::{HierNode, SignalId, SimControl, SimError};
+use rtl_sim::{HierNode, SimControl, SimError};
 use symtab::{BreakpointInfo, SymbolTable};
 
 use crate::checkpoint::{CheckpointConfig, CheckpointRing};
-use crate::expr::{DebugExpr, ExprError};
+use crate::expr::{Bound, DebugExpr, ExprError};
 use crate::fault::FaultPlan;
-use crate::frame::{build_var_tree, Frame};
+use crate::frame::Frame;
 use crate::protocol::SessionId;
 use crate::scheduler::Scheduler;
+use crate::symbols::{scoped_candidates, SignalRef, SymbolIndex};
 
 /// The owner id used by the direct (embedded) `Runtime` API when no
 /// debug service is involved. Service-assigned session ids start at 1,
@@ -284,92 +285,52 @@ pub struct WatchHit {
     pub new: Bits4,
 }
 
-/// How a breakpoint-expression name resolves against the backend:
-/// interned once up front (the per-cycle fast path, no string
-/// formatting or hashing), or dynamically by path when the backend
-/// cannot intern it.
-#[derive(Debug, Clone)]
-enum NameLookup {
-    Id(SignalId),
-    Dynamic,
+/// An enable or condition, bound for a breakpoint's instance: each
+/// name it references reads the first of its candidate signals that
+/// has a value — `{instance}.{name}`, then `name` as an absolute path
+/// (see [`scoped_candidates`]).
+type ScopedExpr = Bound<Vec<SignalRef>>;
+
+/// Binds an enable or condition for the breakpoint of `instance`.
+/// Called once, at attach or insert.
+fn bind_scoped<S: SimControl>(sim: &S, instance: &str, expr: &DebugExpr) -> ScopedExpr {
+    expr.bind(|name| scoped_candidates(sim, instance, name))
 }
 
-/// Resolves every signal name an expression references, preferring
-/// backend-interned ids. Called once at attach/insert time.
-fn resolve_refs<S: SimControl>(
-    sim: &S,
-    prefix: &str,
-    expr: &DebugExpr,
-) -> Vec<(String, NameLookup)> {
-    expr.refs()
-        .into_iter()
-        .map(|name| {
-            let lookup = sim
-                .signal_id(&format!("{prefix}.{name}"))
-                .or_else(|| sim.signal_id(&name))
-                .map(NameLookup::Id)
-                .unwrap_or(NameLookup::Dynamic);
-            (name, lookup)
-        })
-        .collect()
-}
-
-/// Per-cycle name resolution: interned id when available (and carrying
-/// a value), else the instance-relative then absolute path fallback.
+/// Evaluates an enable or condition. This is the per-cycle path: every
+/// name reads through its bound signals, with no lookup by name.
 /// Four-state so enable/condition evaluation sees unknown planes; on
 /// two-state backends every value comes back fully known.
-fn resolve_name_fast<S: SimControl>(
-    sim: &S,
-    prefix: &str,
-    lookups: &[(String, NameLookup)],
-    name: &str,
-) -> Option<Bits4> {
-    if let Some((_, NameLookup::Id(id))) = lookups.iter().find(|(n, _)| n == name) {
-        if let Some(v) = sim.get_value4_by_id(*id) {
-            return Some(v);
-        }
-    }
-    sim.get_value4(&format!("{prefix}.{name}"))
-        .or_else(|| sim.get_value4(name))
+fn eval_scoped<S: SimControl>(sim: &S, expr: &ScopedExpr) -> Result<Bits4, ExprError> {
+    expr.eval4(&|_, candidates| candidates.iter().find_map(|c| c.read(sim)))
 }
 
 /// A statically known breakpoint with its pre-parsed enable.
 #[derive(Debug)]
 struct StaticBp {
     info: BreakpointInfo,
-    enable: Option<DebugExpr>,
-    /// Attach-time name resolutions for the enable expression.
-    enable_lookups: Vec<(String, NameLookup)>,
+    enable: Option<ScopedExpr>,
     /// Whether an enable-evaluation error was already recorded (a
     /// `Cell` because the group walk holds the table immutably on the
     /// hot path). Without it, an unresolvable enable in a partial
     /// trace would append one diagnostic per cycle.
     enable_error_reported: std::cell::Cell<bool>,
+    /// The owning instance's slot in the symbol index (`None` when
+    /// the instance table does not name it).
+    instance: Option<usize>,
 }
 
 /// One session's insertion of a breakpoint (its condition and hit
 /// count are private to that session).
 #[derive(Debug, Default)]
 struct Inserted {
-    condition: Option<DebugExpr>,
+    condition: Option<ScopedExpr>,
     condition_text: Option<String>,
-    /// Insert-time name resolutions for the user condition.
-    cond_lookups: Vec<(String, NameLookup)>,
     hit_count: u64,
     /// Whether a condition-evaluation error was already recorded (so
     /// a broken condition does not append one diagnostic per instance
     /// per simulated cycle).
     cond_error_reported: bool,
-}
-
-/// How one signal reference of a watch expression resolves: interned
-/// id when the backend supports it, a concrete RTL path otherwise,
-/// with full dynamic resolution as the last resort.
-#[derive(Debug, Clone)]
-struct WatchRef {
-    name: String,
-    id: Option<SignalId>,
-    path: String,
 }
 
 /// A session-owned watchpoint: a pre-parsed expression plus the value
@@ -379,9 +340,9 @@ struct Watch {
     owner: SessionId,
     instance: Option<String>,
     expr_text: String,
-    expr: DebugExpr,
-    /// Insert-time name resolutions for the watched expression.
-    refs: Vec<WatchRef>,
+    /// The watched expression, each name bound at insert to the signal
+    /// chosen by [`Runtime::watch_ref_path`].
+    expr: Bound<SignalRef>,
     /// Comparison baseline, four-state: `Bits4`'s plane-wise equality
     /// makes an X→known resolution (reset finally reaching a register)
     /// an ordinary value change, so the watch fires on it.
@@ -431,6 +392,10 @@ pub struct BreakpointListing {
 pub struct Runtime<S: SimControl> {
     sim: S,
     symbols: SymbolTable,
+    /// The symbol table's variable mappings, resolved at attach: frames,
+    /// `eval`, `set_variable` and watch insertion read these instead of
+    /// querying `symbols`.
+    index: SymbolIndex,
     scheduler: Scheduler,
     static_bps: BTreeMap<i64, StaticBp>,
     /// Per-breakpoint, per-owning-session insertions. Execution stops
@@ -470,37 +435,43 @@ impl<S: SimControl> fmt::Debug for Runtime<S> {
 
 impl<S: SimControl> Runtime<S> {
     /// Attaches the debugger to a backend with a symbol table,
-    /// precomputing the breakpoint ordering (§3.2).
+    /// precomputing the breakpoint ordering (§3.2) and the symbol
+    /// index: every scope local and generator variable interned
+    /// against the backend, and every enable bound to its signals.
     ///
     /// # Errors
     ///
     /// Fails if the symbol table cannot be queried or an enable
     /// condition stored in it does not parse (a compiler bug).
     pub fn attach(sim: S, symbols: SymbolTable) -> Result<Runtime<S>, DebugError> {
-        let scheduler = Scheduler::from_symbols(&symbols).map_err(DebugError::Symbols)?;
-        let mut static_bps = BTreeMap::new();
-        for info in symbols
+        let bps = symbols
             .all_breakpoints()
-            .map_err(|e| DebugError::Symbols(e.to_string()))?
-        {
-            let enable = info.enable.as_deref().map(DebugExpr::parse).transpose()?;
-            let enable_lookups = enable
-                .as_ref()
-                .map(|e| resolve_refs(&sim, &info.instance_name, e))
-                .unwrap_or_default();
+            .map_err(|e| DebugError::Symbols(e.to_string()))?;
+        let scheduler = Scheduler::from_breakpoints(&bps);
+        let index = SymbolIndex::build(&sim, &symbols).map_err(DebugError::Symbols)?;
+        let mut static_bps = BTreeMap::new();
+        for info in bps {
+            let enable = info
+                .enable
+                .as_deref()
+                .map(DebugExpr::parse)
+                .transpose()?
+                .map(|e| bind_scoped(&sim, &info.instance_name, &e));
+            let instance = index.instance(&info.instance_name);
             static_bps.insert(
                 info.id,
                 StaticBp {
                     info,
                     enable,
-                    enable_lookups,
                     enable_error_reported: std::cell::Cell::new(false),
+                    instance,
                 },
             );
         }
         Ok(Runtime {
             sim,
             symbols,
+            index,
             scheduler,
             static_bps,
             inserted: BTreeMap::new(),
@@ -624,16 +595,13 @@ impl<S: SimControl> Runtime<S> {
         let parsed = condition.map(DebugExpr::parse).transpose()?;
         let mut ids = Vec::new();
         for info in matches {
-            let cond_lookups = parsed
-                .as_ref()
-                .map(|e| resolve_refs(&self.sim, &info.instance_name, e))
-                .unwrap_or_default();
             let previous = self.inserted.entry(info.id).or_default().insert(
                 owner,
                 Inserted {
-                    condition: parsed.clone(),
+                    condition: parsed
+                        .as_ref()
+                        .map(|e| bind_scoped(&self.sim, &info.instance_name, e)),
                     condition_text: condition.map(str::to_owned),
-                    cond_lookups,
                     hit_count: 0,
                     cond_error_reported: false,
                 },
@@ -1009,25 +977,13 @@ impl<S: SimControl> Runtime<S> {
         instance: Option<&str>,
         expr_text: &str,
     ) -> Result<i64, DebugError> {
-        let expr = DebugExpr::parse(expr_text)?;
-        let refs = expr
-            .refs()
-            .into_iter()
-            .map(|name| {
-                let path = self.watch_ref_path(instance, &name);
-                WatchRef {
-                    id: self.sim.signal_id(&path),
-                    path,
-                    name,
-                }
-            })
-            .collect();
+        let expr = DebugExpr::parse(expr_text)?
+            .bind(|name| SignalRef::new(&self.sim, self.watch_ref_path(instance, name)));
         let mut watch = Watch {
             owner,
             instance: instance.map(str::to_owned),
             expr_text: expr_text.to_owned(),
             expr,
-            refs,
             last: Bits4::known(Bits::from_bool(false)),
             hit_count: 0,
             error_reported: false,
@@ -1091,11 +1047,9 @@ impl<S: SimControl> Runtime<S> {
     /// value.
     fn watch_ref_path(&self, instance: Option<&str>, name: &str) -> String {
         if let Some(inst) = instance {
-            if let Ok(Some(iid)) = self.symbols.instance_by_name(inst) {
-                if let Ok(Some(rtl)) = self.symbols.resolve_instance_variable(iid, name) {
-                    if self.sim.get_value(&rtl).is_some() {
-                        return rtl;
-                    }
+            if let Some(var) = self.index.generator_var_in(inst, name) {
+                if var.read(&self.sim).is_some() {
+                    return var.path().to_owned();
                 }
             }
             let scoped = format!("{inst}.{name}");
@@ -1106,26 +1060,17 @@ impl<S: SimControl> Runtime<S> {
         name.to_owned()
     }
 
-    /// Evaluates a watch expression through its interned references,
-    /// with dynamic resolution as the fallback. Four-state: on a
+    /// Evaluates a watch expression through its bound references, with
+    /// [`Runtime::resolve_name`] as the fallback. Four-state: on a
     /// four-state backend the result carries unknown planes, so the
     /// change comparison sees X→known transitions.
     fn eval_watch(&self, watch: &Watch) -> Result<Bits4, DebugError> {
-        let sim = &self.sim;
         watch
             .expr
-            .eval4(&|name: &str| {
-                if let Some(r) = watch.refs.iter().find(|r| r.name == name) {
-                    if let Some(id) = r.id {
-                        if let Some(v) = sim.get_value4_by_id(id) {
-                            return Some(v);
-                        }
-                    }
-                    if let Some(v) = sim.get_value4(&r.path) {
-                        return Some(v);
-                    }
-                }
-                self.resolve_name(watch.instance.as_deref(), name)
+            .eval4(&|name, signal| {
+                signal
+                    .read(&self.sim)
+                    .or_else(|| self.resolve_name(watch.instance.as_deref(), name))
             })
             .map_err(DebugError::from)
     }
@@ -1189,12 +1134,12 @@ impl<S: SimControl> Runtime<S> {
     /// absolute paths. Four-state (fully known on two-state backends).
     fn resolve_name(&self, instance: Option<&str>, name: &str) -> Option<Bits4> {
         if let Some(inst) = instance {
-            if let Ok(Some(iid)) = self.symbols.instance_by_name(inst) {
-                if let Ok(Some(rtl)) = self.symbols.resolve_instance_variable(iid, name) {
-                    if let Some(v) = self.sim.get_value4(&rtl) {
-                        return Some(v);
-                    }
-                }
+            if let Some(v) = self
+                .index
+                .generator_var_in(inst, name)
+                .and_then(|var| var.read(&self.sim))
+            {
+                return Some(v);
             }
             if let Some(v) = self.sim.get_value4(&format!("{inst}.{name}")) {
                 return Some(v);
@@ -1230,24 +1175,21 @@ impl<S: SimControl> Runtime<S> {
         name: &str,
         value: Bits,
     ) -> Result<(), DebugError> {
-        // Resolve to a full RTL path first.
-        let mut target = name.to_owned();
-        if let Some(inst) = instance {
-            let iid = self
-                .symbols
-                .instance_by_name(inst)
-                .map_err(|e| DebugError::Symbols(e.to_string()))?
-                .ok_or_else(|| DebugError::NoSuchInstance(inst.to_owned()))?;
-            if let Some(rtl) = self
-                .symbols
-                .resolve_instance_variable(iid, name)
-                .map_err(|e| DebugError::Symbols(e.to_string()))?
-            {
-                target = rtl;
-            } else {
-                target = format!("{inst}.{name}");
+        // Resolve to a full RTL path first: the generator variable, else
+        // the instance-relative path, else the name as given.
+        let target = match instance {
+            Some(inst) => {
+                let slot = self
+                    .index
+                    .instance(inst)
+                    .ok_or_else(|| DebugError::NoSuchInstance(inst.to_owned()))?;
+                match self.index.generator_var(slot, name) {
+                    Some(var) => var.path().to_owned(),
+                    None => format!("{inst}.{name}"),
+                }
             }
-        }
+            None => name.to_owned(),
+        };
         self.sim.set_value(&target, value).map_err(DebugError::from)
     }
 
@@ -1262,11 +1204,13 @@ impl<S: SimControl> Runtime<S> {
         group_index: usize,
         only_inserted: bool,
     ) -> (Vec<Frame>, Vec<SessionId>) {
-        let group = &self.scheduler.groups()[group_index];
-        let bp_ids = group.bp_ids.clone();
         let mut hits = Vec::new();
         let mut sessions: Vec<SessionId> = Vec::new();
-        for bp_id in bp_ids {
+        // By position, not over a copy of the id list: this runs for
+        // every instrumented group of every cycle and must not
+        // allocate.
+        for position in 0..self.scheduler.groups()[group_index].bp_ids.len() {
+            let bp_id = self.scheduler.groups()[group_index].bp_ids[position];
             let Some(st) = self.static_bps.get(&bp_id) else {
                 continue;
             };
@@ -1274,19 +1218,13 @@ impl<S: SimControl> Runtime<S> {
             if only_inserted && owners.is_none() {
                 continue;
             }
-            // Borrow fields disjointly so the per-cycle path allocates
-            // nothing: the closures capture only `sim` and the
-            // breakpoint's own interned tables.
             let sim = &self.sim;
-            let prefix: &str = &st.info.instance_name;
             // Enable condition (§3.1): statement must be active this
-            // cycle. Names were interned at attach time. Truthiness is
+            // cycle. Names were bound at attach time. Truthiness is
             // four-state: an enable that evaluates to x (unresolved
             // control pre-reset) is *not* active — stopping on a
             // statement that may not execute would be a false positive.
-            let enable_result = st.enable.as_ref().map(|enable| {
-                enable.eval4(&|name: &str| resolve_name_fast(sim, prefix, &st.enable_lookups, name))
-            });
+            let enable_result = st.enable.as_ref().map(|enable| eval_scoped(sim, enable));
             match enable_result {
                 None => {}
                 Some(Ok(v)) if v.is_truthy_known() => {}
@@ -1307,7 +1245,7 @@ impl<S: SimControl> Runtime<S> {
             // The breakpoint stops when *any* session's condition
             // holds; the matching owners are reported on the stop
             // event and are the only ones whose hit counts move.
-            // Names were interned at insert time.
+            // Names were bound at insert time.
             let mut matched_owners: Vec<SessionId> = Vec::new();
             if only_inserted {
                 let mut erroring: Vec<(SessionId, String)> = Vec::new();
@@ -1317,9 +1255,7 @@ impl<S: SimControl> Runtime<S> {
                         // is_truthy_known: a condition that evaluates
                         // to x (e.g. `count == 8'hff` over an unreset
                         // register) does not stop the run.
-                        Some(cond) => match cond.eval4(&|name: &str| {
-                            resolve_name_fast(sim, prefix, &ins.cond_lookups, name)
-                        }) {
+                        Some(cond) => match eval_scoped(sim, cond) {
                             Ok(v) if v.is_truthy_known() => matched_owners.push(*owner),
                             Ok(_) => {}
                             Err(e) => {
@@ -1349,7 +1285,7 @@ impl<S: SimControl> Runtime<S> {
                     continue;
                 }
             }
-            if let Some(frame) = self.build_frame(&bp_id) {
+            if let Some(frame) = self.build_frame(bp_id) {
                 // A hit is a *stop the user asked for*: count it only
                 // in continue mode (stepping visits every statement and
                 // must not inflate user-visible hit counts), and only
@@ -1373,42 +1309,19 @@ impl<S: SimControl> Runtime<S> {
         (hits, sessions)
     }
 
-    /// Reconstructs the frame for a breakpoint (§3.2 step 3).
-    fn build_frame(&self, bp_id: &i64) -> Option<Frame> {
-        let st = self.static_bps.get(bp_id)?;
-        let scope = self.symbols.scope_of(*bp_id).unwrap_or_default();
-        let locals: Vec<(String, Option<Bits4>)> = scope
-            .into_iter()
-            .map(|(name, rtl)| {
-                let v = self.sim.get_value4(&rtl);
-                (name, v)
-            })
-            .collect();
-        let generator = self
-            .symbols
-            .instance_by_name(&st.info.instance_name)
-            .ok()
-            .flatten()
-            .and_then(|iid| self.symbols.instance_variables(iid).ok())
-            .map(|vars| {
-                let pairs: Vec<(String, Option<Bits4>)> = vars
-                    .into_iter()
-                    .map(|(name, rtl)| {
-                        let v = self.sim.get_value4(&rtl);
-                        (name, v)
-                    })
-                    .collect();
-                build_var_tree(&pairs)
-            })
-            .unwrap_or_default();
+    /// Reconstructs the frame for a breakpoint (§3.2 step 3) from the
+    /// symbol index: the scope locals and the instance's generator
+    /// variables, read through their interned signals.
+    fn build_frame(&self, bp_id: i64) -> Option<Frame> {
+        let st = self.static_bps.get(&bp_id)?;
         Some(Frame {
-            breakpoint_id: *bp_id,
+            breakpoint_id: bp_id,
             instance: st.info.instance_name.clone(),
             filename: st.info.filename.clone(),
             line: st.info.line,
             col: st.info.col,
-            locals,
-            generator,
+            locals: self.index.locals(&self.sim, bp_id),
+            generator: self.index.generator(&self.sim, st.instance),
         })
     }
 

@@ -67,7 +67,15 @@ impl Scheduler {
     /// Propagates symbol-table query errors (as strings — the caller
     /// wraps them in its own error type).
     pub fn from_symbols(symbols: &SymbolTable) -> Result<Scheduler, String> {
-        let mut bps = symbols.all_breakpoints().map_err(|e| e.to_string())?;
+        let bps = symbols.all_breakpoints().map_err(|e| e.to_string())?;
+        Ok(Scheduler::from_breakpoints(&bps))
+    }
+
+    /// Precomputes the absolute ordering from breakpoint rows already
+    /// read from the symbol table (the runtime reads them once at
+    /// attach for both the scheduler and its breakpoint table).
+    pub(crate) fn from_breakpoints(bps: &[BreakpointInfo]) -> Scheduler {
+        let mut bps: Vec<&BreakpointInfo> = bps.iter().collect();
         // `all_breakpoints` returns id order. The walk order must be
         // the *lexical* order of Figure 2 — (file, line, col), then
         // instance id for the concurrent copies — and grouping below
@@ -103,12 +111,12 @@ impl Scheduler {
             }
         }
         let insertions = vec![0; groups.len()];
-        Ok(Scheduler {
+        Scheduler {
             groups,
             group_index,
             insertions,
             current: None,
-        })
+        }
     }
 
     /// All groups in absolute order.

@@ -25,7 +25,9 @@ mod json;
 pub use build::from_debug_table;
 pub use json::{from_json, to_json, LoadError};
 
-use minidb::{ColumnType, Database, DbError, Query, TableSchema, Value};
+use std::collections::HashMap;
+
+use minidb::{ColumnType, Database, DbError, Query, Table, TableSchema, Value};
 
 /// A breakpoint row joined with its instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,11 +297,33 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn all_breakpoints(&self) -> Result<Vec<BreakpointInfo>, DbError> {
-        let mut rows: Vec<BreakpointInfo> = Query::table("breakpoint")
-            .join("instance", "breakpoint.instance", "id")
-            .run(&self.db)?
+        // `breakpoint ⋈ instance` by direct scans, like
+        // `variable_bindings`: attach reads every row.
+        let (instances, [inst_id, inst_name]) = self.scan("instance", ["id", "name"])?;
+        let names: HashMap<i64, &str> = instances
             .iter()
-            .map(Self::row_to_breakpoint)
+            .filter_map(|(_, row)| Some((row[inst_id].as_int()?, row[inst_name].as_str()?)))
+            .collect();
+        let (breakpoints, [id, filename, line, col, enable, instance]) = self.scan(
+            "breakpoint",
+            [
+                "id", "filename", "line_num", "col_num", "enable", "instance",
+            ],
+        )?;
+        let mut rows: Vec<BreakpointInfo> = breakpoints
+            .iter()
+            .filter_map(|(_, row)| {
+                let instance_id = row[instance].as_int()?;
+                Some(BreakpointInfo {
+                    id: row[id].as_int().unwrap_or(0),
+                    filename: row[filename].as_str().unwrap_or_default().to_owned(),
+                    line: row[line].as_int().unwrap_or(0) as u32,
+                    col: row[col].as_int().unwrap_or(0) as u32,
+                    enable: row[enable].as_str().map(str::to_owned),
+                    instance_id,
+                    instance_name: (*names.get(&instance_id)?).to_owned(),
+                })
+            })
             .collect();
         rows.sort_by_key(|b| b.id);
         Ok(rows)
@@ -404,6 +428,82 @@ impl SymbolTable {
             .collect();
         out.sort();
         Ok(out)
+    }
+
+    /// Every scope-variable binding as `(breakpoint, source name, full
+    /// RTL name)`, in row order: primitive 2 for all breakpoints at
+    /// once, one join where [`SymbolTable::scope_of`] runs one per
+    /// breakpoint.
+    ///
+    /// # Errors
+    ///
+    /// Propagates database errors.
+    pub fn all_scope_variables(&self) -> Result<Vec<(i64, String, String)>, DbError> {
+        self.variable_bindings("scope_variable", "breakpoint")
+    }
+
+    /// Every generator-variable binding as `(instance, name, full RTL
+    /// name)`, in row order: [`SymbolTable::instance_variables`] for
+    /// all instances at once, in one join. The first row of an
+    /// instance and name is the binding
+    /// [`SymbolTable::resolve_instance_variable`] answers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates database errors.
+    pub fn all_generator_variables(&self) -> Result<Vec<(i64, String, String)>, DbError> {
+        self.variable_bindings("generator_variable", "instance")
+    }
+
+    /// `table ⋈ variable` as `(owner, name, full RTL name)` in `table`'s
+    /// row order, the owner read from `owner_column`. Scans both tables
+    /// once, without the query engine's per-row column copies: the
+    /// runtime reads every binding at attach.
+    fn variable_bindings(
+        &self,
+        table: &str,
+        owner_column: &str,
+    ) -> Result<Vec<(i64, String, String)>, DbError> {
+        let (variables, [var_id, value]) = self.scan("variable", ["id", "value"])?;
+        let rtl: HashMap<i64, &str> = variables
+            .iter()
+            .filter_map(|(_, row)| Some((row[var_id].as_int()?, row[value].as_str()?)))
+            .collect();
+        let (bindings, [owner, name, variable]) =
+            self.scan(table, [owner_column, "name", "variable"])?;
+        Ok(bindings
+            .iter()
+            .filter_map(|(_, row)| {
+                Some((
+                    row[owner].as_int()?,
+                    row[name].as_str()?.to_owned(),
+                    (*rtl.get(&row[variable].as_int()?)?).to_owned(),
+                ))
+            })
+            .collect())
+    }
+
+    /// A table and the positions of `columns` in its rows.
+    fn scan<const N: usize>(
+        &self,
+        table: &str,
+        columns: [&str; N],
+    ) -> Result<(&Table, [usize; N]), DbError> {
+        let t = self
+            .db
+            .table(table)
+            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
+        let mut positions = [0; N];
+        for (position, column) in positions.iter_mut().zip(columns) {
+            *position = t
+                .schema()
+                .column_index(column)
+                .ok_or_else(|| DbError::NoSuchColumn {
+                    table: table.to_owned(),
+                    column: column.to_owned(),
+                })?;
+        }
+        Ok((t, positions))
     }
 
     /// All instances as `(id, hierarchical name)`, sorted by id.
@@ -561,6 +661,37 @@ mod tests {
         assert_eq!(
             vars,
             vec![("io.out".to_owned(), "top.u0.io.out".to_owned())]
+        );
+    }
+
+    #[test]
+    fn bulk_reads_agree_with_per_key_queries() {
+        let st = sample();
+        let all = st.all_breakpoints().unwrap();
+        assert_eq!(all.len(), 3);
+        for bp in &all {
+            assert_eq!(st.breakpoint(bp.id).unwrap().as_ref(), Some(bp));
+        }
+        assert_eq!(all, st.breakpoints_at("acc.rs", None, None).unwrap());
+        let scopes = st.all_scope_variables().unwrap();
+        assert_eq!(scopes.len(), 2);
+        for bp in st.all_breakpoints().unwrap() {
+            let mut from_bulk: Vec<(String, String)> = scopes
+                .iter()
+                .filter(|(b, _, _)| *b == bp.id)
+                .map(|(_, name, rtl)| (name.clone(), rtl.clone()))
+                .collect();
+            from_bulk.sort();
+            assert_eq!(
+                from_bulk,
+                st.scope_of(bp.id).unwrap(),
+                "breakpoint {}",
+                bp.id
+            );
+        }
+        assert_eq!(
+            st.all_generator_variables().unwrap(),
+            vec![(1, "io.out".to_owned(), "top.u0.io.out".to_owned())]
         );
     }
 
