@@ -12,8 +12,6 @@
 
 use symtab::{BreakpointInfo, SymbolTable};
 
-use crate::expr::DebugExpr;
-
 /// One source location's breakpoints (all instances).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Group {
@@ -25,19 +23,6 @@ pub struct Group {
     pub col: u32,
     /// Breakpoint ids in instance order.
     pub bp_ids: Vec<i64>,
-}
-
-/// An inserted (user-requested) breakpoint.
-#[derive(Debug)]
-pub struct InsertedBreakpoint {
-    /// Symbol-table breakpoint row.
-    pub info: BreakpointInfo,
-    /// Compiler-derived enable condition (§3.1), pre-parsed.
-    pub enable: Option<DebugExpr>,
-    /// User conditional expression (Figure 4 D), pre-parsed.
-    pub condition: Option<DebugExpr>,
-    /// Times this breakpoint has matched.
-    pub hit_count: u64,
 }
 
 /// The precomputed group ordering plus the in-cycle cursor.

@@ -43,9 +43,10 @@ pub trait Transport {
     fn recv(&mut self) -> Option<String>;
 
     /// Receives the next line, giving up after `timeout`. The default
-    /// implementation ignores the timeout and blocks — transports that
-    /// can honor a deadline (TCP, channels) override it, and callers
-    /// that need liveness detection (e.g.
+    /// implementation ignores the timeout and blocks. Every transport
+    /// this crate provides honours the deadline ([`TcpTransport`],
+    /// [`ChannelPair`] and [`crate::ServiceTransport`]); callers that
+    /// need liveness detection (e.g.
     /// [`crate::DebugClient::wait_event_timeout`]) require it.
     fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
         let _ = timeout;

@@ -89,12 +89,14 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use microjson::Json;
 use rtl_sim::{HierNode, SimControl};
 
-use crate::outbound::{outbound_queue, OutboundQueue, OutboundReceiver, DEFAULT_OUTBOUND_CAPACITY};
+use crate::outbound::{
+    outbound_queue, OutboundQueue, OutboundReceiver, RecvTimeoutError, DEFAULT_OUTBOUND_CAPACITY,
+};
 use crate::protocol::{
     decode_line, encode_server_exiting, outcome_response, Request, Response, SessionId,
 };
 use crate::runtime::{DebugError, RunOutcome, Runtime, StopEvent, LOCAL_SESSION};
-use crate::server::{LineReader, ReadLine};
+use crate::server::{LineReader, ReadLine, RecvOutcome};
 
 pub use crate::outbound::Outbound;
 
@@ -317,6 +319,16 @@ impl ServiceTransport {
     pub fn session(&self) -> SessionId {
         self.session
     }
+
+    /// The wire line for `out`; a session's last reply closes the
+    /// transport.
+    fn deliver(&mut self, out: Outbound) -> String {
+        let (line, _is_reply, last) = out.to_line(self.session);
+        if last {
+            self.closed = true;
+        }
+        line
+    }
 }
 
 impl crate::server::Transport for ServiceTransport {
@@ -324,15 +336,18 @@ impl crate::server::Transport for ServiceTransport {
         if self.closed {
             return None;
         }
-        match self.out_rx.recv() {
-            Some(out) => {
-                let (line, _is_reply, last) = out.to_line(self.session);
-                if last {
-                    self.closed = true;
-                }
-                Some(line)
-            }
-            None => None,
+        let out = self.out_rx.recv()?;
+        Some(self.deliver(out))
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
+        if self.closed {
+            return RecvOutcome::Closed;
+        }
+        match self.out_rx.recv_timeout(timeout) {
+            Ok(out) => RecvOutcome::Line(self.deliver(out)),
+            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
+            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
         }
     }
 

@@ -9,37 +9,37 @@
 //!
 //! * typed columns (integer / text, optional nullability)
 //! * primary-key uniqueness with a hash index
-//! * secondary hash indices for fast equality lookups
-//! * foreign-key enforcement on insert and delete
-//! * a small declarative [`Query`] API with equality filters and
-//!   inner joins
-//! * a line-oriented text dump/load for persistence
+//! * secondary hash indices declared per column
+//! * foreign-key enforcement on insert
+//! * one equality lookup, [`Table::find_rows`], through the primary
+//!   key or a declared index (other columns are scanned)
+//!
+//! Rows are append-only and kept in insertion order; readers scan
+//! [`Table::rows`] or look rows up by key.
 //!
 //! # Examples
 //!
 //! ```
-//! use minidb::{Database, TableSchema, ColumnType, Value, Query};
+//! use minidb::{Database, TableSchema, ColumnType, Value};
 //!
 //! let mut db = Database::new();
 //! db.create_table(
 //!     TableSchema::new("instance")
 //!         .column("id", ColumnType::Int)
 //!         .column("name", ColumnType::Text)
-//!         .primary_key("id"),
+//!         .primary_key("id")
+//!         .index("name"),
 //! )?;
 //! db.insert("instance", vec![Value::Int(1), Value::text("top.fpu")])?;
-//! let rows = Query::table("instance").filter_eq("id", Value::Int(1)).run(&db)?;
-//! assert_eq!(rows[0].get("name").unwrap().as_str(), Some("top.fpu"));
+//! let instances = db.table("instance").unwrap();
+//! let found = instances.find_rows("name", &Value::text("top.fpu"))?;
+//! assert_eq!(instances.rows()[found[0]][0], Value::Int(1));
 //! # Ok::<(), minidb::DbError>(())
 //! ```
 
-mod dump;
-mod query;
 mod schema;
 mod table;
 
-pub use dump::{dump, load};
-pub use query::{Query, ResultRow};
 pub use schema::{Column, ColumnType, ForeignKey, TableSchema};
 pub use table::Table;
 
@@ -164,16 +164,13 @@ pub enum DbError {
         /// Rendered key value.
         key: String,
     },
-    /// Foreign-key target missing (on insert) or still referenced
-    /// (on delete).
+    /// Foreign-key target missing.
     ForeignKeyViolation {
         /// Table on which the violation was detected.
         table: String,
         /// Human-readable detail.
         detail: String,
     },
-    /// Malformed dump text.
-    BadDump(String),
 }
 
 impl fmt::Display for DbError {
@@ -203,7 +200,6 @@ impl fmt::Display for DbError {
             DbError::ForeignKeyViolation { table, detail } => {
                 write!(f, "foreign key violation on table {table}: {detail}")
             }
-            DbError::BadDump(msg) => write!(f, "malformed database dump: {msg}"),
         }
     }
 }
@@ -242,11 +238,6 @@ impl Database {
         self.tables.get(name)
     }
 
-    /// All table names, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// Inserts a row (values in schema column order).
     ///
     /// # Errors
@@ -270,7 +261,7 @@ impl Database {
                 .tables
                 .get(&fk.ref_table)
                 .ok_or_else(|| DbError::NoSuchTable(fk.ref_table.clone()))?;
-            if !target.contains_key(&fk.ref_column, v)? {
+            if target.find_rows(&fk.ref_column, v)?.is_empty() {
                 return Err(DbError::ForeignKeyViolation {
                     table: table.to_owned(),
                     detail: format!(
@@ -286,66 +277,12 @@ impl Database {
             .insert_unchecked(values)
     }
 
-    /// Deletes all rows in `table` where `column == value`; returns the
-    /// number of rows removed.
-    ///
-    /// # Errors
-    ///
-    /// Fails if another table still holds foreign keys to a removed row.
-    pub fn delete_where(
-        &mut self,
-        table: &str,
-        column: &str,
-        value: &Value,
-    ) -> Result<usize, DbError> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.to_owned()))?;
-        let doomed = t.find_rows(column, value)?;
-        if doomed.is_empty() {
-            return Ok(0);
-        }
-        // Referential integrity: no other table may reference the doomed
-        // rows' referenced-column values.
-        for (other_name, other) in &self.tables {
-            for fk in other.schema().foreign_keys() {
-                if fk.ref_table != table {
-                    continue;
-                }
-                let ref_col = t.schema().column_index(&fk.ref_column).ok_or_else(|| {
-                    DbError::NoSuchColumn {
-                        table: table.to_owned(),
-                        column: fk.ref_column.clone(),
-                    }
-                })?;
-                for &row_id in &doomed {
-                    let key = t.row(row_id).expect("live row")[ref_col].clone();
-                    if other.contains_key_by_index(fk.column, &key) {
-                        return Err(DbError::ForeignKeyViolation {
-                            table: other_name.clone(),
-                            detail: format!(
-                                "row still references {table}.{} = {key}",
-                                fk.ref_column
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let t = self.tables.get_mut(table).expect("exists");
-        for row_id in &doomed {
-            t.remove_row(*row_id);
-        }
-        Ok(doomed.len())
-    }
-
-    /// Total number of live rows across all tables.
+    /// Total number of rows across all tables.
     pub fn row_count(&self) -> usize {
         self.tables.values().map(Table::len).sum()
     }
 
-    /// Approximate storage footprint in bytes (schema + live rows).
+    /// Approximate storage footprint in bytes (schema + rows).
     /// Used by the symbol-table size experiment (§4.1's 30% claim).
     pub fn size_in_bytes(&self) -> usize {
         self.tables.values().map(Table::size_in_bytes).sum()
@@ -449,46 +386,6 @@ mod tests {
             ],
         )
         .unwrap();
-    }
-
-    #[test]
-    fn foreign_key_on_delete() {
-        let mut db = sample_db();
-        db.insert("instance", vec![Value::Int(1), Value::text("top")])
-            .unwrap();
-        db.insert(
-            "breakpoint",
-            vec![
-                Value::Int(5),
-                Value::text("alu.rs"),
-                Value::Int(10),
-                Value::Int(1),
-            ],
-        )
-        .unwrap();
-        let err = db
-            .delete_where("instance", "id", &Value::Int(1))
-            .unwrap_err();
-        assert!(matches!(err, DbError::ForeignKeyViolation { .. }));
-        // Removing the breakpoint first unblocks the delete.
-        assert_eq!(
-            db.delete_where("breakpoint", "id", &Value::Int(5)).unwrap(),
-            1
-        );
-        assert_eq!(
-            db.delete_where("instance", "id", &Value::Int(1)).unwrap(),
-            1
-        );
-        assert_eq!(db.row_count(), 0);
-    }
-
-    #[test]
-    fn delete_missing_is_zero() {
-        let mut db = sample_db();
-        assert_eq!(
-            db.delete_where("instance", "id", &Value::Int(42)).unwrap(),
-            0
-        );
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! Table storage: row slots plus primary/secondary hash indices.
+//! Table storage: append-only rows plus primary/secondary hash indices.
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::schema::TableSchema;
 use crate::{DbError, Value};
 
-/// A single table: schema, row storage and indices.
+/// A single table: schema, rows in insertion order, and indices.
 ///
-/// Rows live in slots (`Vec<Option<Vec<Value>>>`); deletion tombstones a
-/// slot so that row ids stay stable for the indices.
+/// A row's id is its position in [`Table::rows`]; rows are never
+/// removed, so ids stay stable for the indices.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    rows: Vec<Option<Vec<Value>>>,
-    live: usize,
+    rows: Vec<Vec<Value>>,
     /// Primary-key value -> row id.
     pk_index: Option<HashMap<Value, usize>>,
-    /// column index -> (value -> row ids). Built for declared indices
-    /// and for foreign-key source columns (used on delete checks).
+    /// Declared index's column -> (value -> row ids, ascending).
     sec_indices: HashMap<usize, HashMap<Value, Vec<usize>>>,
 }
 
@@ -27,17 +27,13 @@ impl Table {
         schema.validate()?;
         let pk_index = schema.primary_key_index().map(|_| HashMap::new());
         let mut sec_indices = HashMap::new();
-        for idx_name in schema.declared_indices() {
-            let i = schema.column_index(idx_name).expect("validated");
-            sec_indices.entry(i).or_insert_with(HashMap::new);
-        }
-        for fk in schema.foreign_keys() {
-            sec_indices.entry(fk.column).or_insert_with(HashMap::new);
+        for name in schema.declared_indices() {
+            let col = schema.column_index(name).expect("validated");
+            sec_indices.insert(col, HashMap::new());
         }
         Ok(Table {
             schema,
             rows: Vec::new(),
-            live: 0,
             pk_index,
             sec_indices,
         })
@@ -48,31 +44,22 @@ impl Table {
         &self.schema
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
-    /// Whether the table has no live rows.
+    /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.rows.is_empty()
     }
 
-    /// The row with the given id, if live.
-    pub fn row(&self, id: usize) -> Option<&[Value]> {
-        self.rows.get(id).and_then(|r| r.as_deref())
+    /// All rows in insertion order, values in schema column order.
+    pub fn rows(&self) -> &[Vec<Value>] {
+        &self.rows
     }
 
-    /// Iterates over `(row_id, row)` pairs for live rows.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &[Value])> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_deref().map(|r| (i, r)))
-    }
-
-    /// Checks arity, types, nullability and PK uniqueness for a
-    /// prospective row.
+    /// Checks arity, types and nullability for a prospective row.
     pub(crate) fn validate_row(&self, values: &[Value]) -> Result<(), DbError> {
         let cols = self.schema.columns();
         if values.len() != cols.len() {
@@ -97,39 +84,45 @@ impl Table {
                 });
             }
         }
-        if let (Some(pk_col), Some(index)) =
-            (self.schema.primary_key_index(), self.pk_index.as_ref())
-        {
-            if index.contains_key(&values[pk_col]) {
-                return Err(DbError::PrimaryKeyViolation {
-                    table: self.schema.name().to_owned(),
-                    key: values[pk_col].to_string(),
-                });
-            }
-        }
         Ok(())
     }
 
-    /// Inserts a pre-validated row (used by `Database::insert`, which
-    /// also checks foreign keys).
+    /// Appends a row whose shape and foreign keys the caller has
+    /// checked (`Database::insert` does both).
+    ///
+    /// Fails, changing nothing, on a duplicate primary key.
     pub(crate) fn insert_unchecked(&mut self, values: Vec<Value>) -> Result<(), DbError> {
-        self.validate_row(&values)?;
         let id = self.rows.len();
         if let (Some(pk_col), Some(index)) =
             (self.schema.primary_key_index(), self.pk_index.as_mut())
         {
-            index.insert(values[pk_col].clone(), id);
+            match index.entry(values[pk_col].clone()) {
+                Entry::Occupied(_) => {
+                    return Err(DbError::PrimaryKeyViolation {
+                        table: self.schema.name().to_owned(),
+                        key: values[pk_col].to_string(),
+                    })
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                }
+            }
         }
         for (&col, index) in &mut self.sec_indices {
             index.entry(values[col].clone()).or_default().push(id);
         }
-        self.rows.push(Some(values));
-        self.live += 1;
+        self.rows.push(values);
         Ok(())
     }
 
-    /// Row ids where `column == value`, using an index when available.
-    pub(crate) fn find_rows(&self, column: &str, value: &Value) -> Result<Vec<usize>, DbError> {
+    /// Ids of the rows where `column == value`, ascending (insertion
+    /// order). Through the primary key or a declared index the ids are
+    /// borrowed from the index; any other column is scanned.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the table has no such column.
+    pub fn find_rows(&self, column: &str, value: &Value) -> Result<Cow<'_, [usize]>, DbError> {
         let col = self
             .schema
             .column_index(column)
@@ -139,50 +132,22 @@ impl Table {
             })?;
         if Some(col) == self.schema.primary_key_index() {
             if let Some(index) = &self.pk_index {
-                return Ok(index.get(value).copied().into_iter().collect());
+                return Ok(Cow::Borrowed(
+                    index.get(value).map_or(&[], std::slice::from_ref),
+                ));
             }
         }
         if let Some(index) = self.sec_indices.get(&col) {
-            let mut ids: Vec<usize> = index.get(value).cloned().unwrap_or_default();
-            ids.retain(|&i| self.rows[i].is_some());
-            return Ok(ids);
+            return Ok(Cow::Borrowed(index.get(value).map_or(&[], Vec::as_slice)));
         }
-        Ok(self
-            .iter()
-            .filter(|(_, row)| &row[col] == value)
-            .map(|(i, _)| i)
-            .collect())
-    }
-
-    /// Whether any live row has `column == value`.
-    pub(crate) fn contains_key(&self, column: &str, value: &Value) -> Result<bool, DbError> {
-        Ok(!self.find_rows(column, value)?.is_empty())
-    }
-
-    /// Whether any live row has the indexed column `col == value`;
-    /// falls back to a scan when un-indexed.
-    pub(crate) fn contains_key_by_index(&self, col: usize, value: &Value) -> bool {
-        if let Some(index) = self.sec_indices.get(&col) {
-            index
-                .get(value)
-                .is_some_and(|ids| ids.iter().any(|&i| self.rows[i].is_some()))
-        } else {
-            self.iter().any(|(_, row)| &row[col] == value)
-        }
-    }
-
-    /// Tombstones a row and updates the primary index.
-    pub(crate) fn remove_row(&mut self, id: usize) {
-        if let Some(Some(values)) = self.rows.get(id) {
-            if let (Some(pk_col), Some(index)) =
-                (self.schema.primary_key_index(), self.pk_index.as_mut())
-            {
-                index.remove(&values[pk_col]);
-            }
-            // Secondary indices are cleaned lazily in find_rows.
-            self.rows[id] = None;
-            self.live -= 1;
-        }
+        Ok(Cow::Owned(
+            self.rows
+                .iter()
+                .enumerate()
+                .filter(|(_, row)| &row[col] == value)
+                .map(|(i, _)| i)
+                .collect(),
+        ))
     }
 
     /// Approximate footprint in bytes.
@@ -191,7 +156,7 @@ impl Table {
         for c in self.schema.columns() {
             total += c.name.len() + 2;
         }
-        for (_, row) in self.iter() {
+        for row in &self.rows {
             for v in row {
                 total += match v {
                     Value::Null => 1,
@@ -242,21 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_updates_pk_and_len() {
-        let mut t = table();
-        t.insert_unchecked(vec![Value::Int(1), Value::text("x")])
-            .unwrap();
-        t.remove_row(0);
-        assert!(t.is_empty());
-        assert!(t.find_rows("id", &Value::Int(1)).unwrap().is_empty());
-        assert!(t.find_rows("name", &Value::text("x")).unwrap().is_empty());
-        // Re-inserting the same PK now works.
-        t.insert_unchecked(vec![Value::Int(1), Value::text("z")])
-            .unwrap();
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
     fn unindexed_scan_works() {
         let mut t = Table::new(
             TableSchema::new("t")
@@ -269,17 +219,5 @@ mod tests {
         t.insert_unchecked(vec![Value::Int(2), Value::Int(10)])
             .unwrap();
         assert_eq!(t.find_rows("b", &Value::Int(10)).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn iter_skips_tombstones() {
-        let mut t = table();
-        t.insert_unchecked(vec![Value::Int(1), Value::text("a")])
-            .unwrap();
-        t.insert_unchecked(vec![Value::Int(2), Value::text("b")])
-            .unwrap();
-        t.remove_row(0);
-        let ids: Vec<usize> = t.iter().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![1]);
     }
 }

@@ -6,6 +6,8 @@
 //! "concurrent hardware threads executing the same line" the IDE shows
 //! (Figure 4 B ).
 
+use std::collections::HashMap;
+
 use hgf_ir::passes::DebugTable;
 use hgf_ir::Circuit;
 use minidb::DbError;
@@ -38,42 +40,32 @@ pub fn from_debug_table(circuit: &Circuit, table: &DebugTable) -> Result<SymbolT
     }
     walk(circuit, &circuit.top, circuit.top.clone(), &mut instances);
 
-    for (id, (path, _)) in instances.iter().enumerate() {
+    // An instance's id is its position in the walk.
+    let mut of_module: HashMap<&str, Vec<(i64, &str)>> = HashMap::new();
+    for (id, (path, module)) in instances.iter().enumerate() {
         st.add_instance(id as i64, path)?;
+        of_module.entry(module).or_default().push((id as i64, path));
     }
-    let instance_id = |path: &str| -> i64 {
-        instances
-            .iter()
-            .position(|(p, _)| p == path)
-            .expect("instance exists") as i64
-    };
 
-    let mut next_var: i64 = 0;
-    let mut var_id = |st: &mut SymbolTable, rtl_full: &str| -> Result<i64, DbError> {
-        // Variables are deduplicated per full RTL name.
-        if let Some((vid, _)) = st
-            .db()
-            .table("variable")
-            .expect("schema")
-            .iter()
-            .find(|(_, row)| row[1].as_str() == Some(rtl_full))
-        {
-            return Ok(vid as i64);
+    // Variables are deduplicated per full RTL name, ids in first-use
+    // order.
+    let mut variable_ids: HashMap<String, i64> = HashMap::new();
+    let mut var_id = |st: &mut SymbolTable, rtl_full: String| -> Result<i64, DbError> {
+        if let Some(&id) = variable_ids.get(&rtl_full) {
+            return Ok(id);
         }
-        let id = next_var;
-        next_var += 1;
-        st.add_variable(id, rtl_full)?;
+        let id = variable_ids.len() as i64;
+        st.add_variable(id, &rtl_full)?;
+        variable_ids.insert(rtl_full, id);
         Ok(id)
     };
 
     // Generator variables per instance.
     let mut gv_id: i64 = 0;
-    for (path, module) in &instances {
-        let iid = instance_id(path);
+    for (iid, (path, module)) in instances.iter().enumerate() {
         for v in table.variables.iter().filter(|v| &v.module == module) {
-            let full = format!("{path}.{}", v.rtl);
-            let vid = var_id(&mut st, &full)?;
-            st.add_generator_variable(gv_id, iid, &v.name, vid)?;
+            let vid = var_id(&mut st, format!("{path}.{}", v.rtl))?;
+            st.add_generator_variable(gv_id, iid as i64, &v.name, vid)?;
             gv_id += 1;
         }
     }
@@ -83,12 +75,8 @@ pub fn from_debug_table(circuit: &Circuit, table: &DebugTable) -> Result<SymbolT
     let mut bp_id: i64 = 0;
     let mut sv_id: i64 = 0;
     for bp in &table.breakpoints {
-        for (path, module) in &instances {
-            if module != &bp.module {
-                continue;
-            }
-            let iid = instance_id(path);
-            let enable = bp.enable.as_ref().map(|e| e.to_string());
+        let enable = bp.enable.as_ref().map(|e| e.to_string());
+        for &(iid, path) in of_module.get(bp.module.as_str()).into_iter().flatten() {
             st.add_breakpoint(
                 bp_id,
                 &bp.loc.file,
@@ -98,8 +86,7 @@ pub fn from_debug_table(circuit: &Circuit, table: &DebugTable) -> Result<SymbolT
                 iid,
             )?;
             for (src_name, rtl_local) in &bp.scope {
-                let full = format!("{path}.{rtl_local}");
-                let vid = var_id(&mut st, &full)?;
+                let vid = var_id(&mut st, format!("{path}.{rtl_local}"))?;
                 st.add_scope_variable(sv_id, bp_id, src_name, vid)?;
                 sv_id += 1;
             }

@@ -14,7 +14,7 @@ use crate::SymbolTable;
 pub fn to_json(st: &SymbolTable) -> Json {
     let dump_table = |name: &str| -> Json {
         let table = st.db().table(name).expect("schema table");
-        Json::array(table.iter().map(|(_, row)| {
+        Json::array(table.rows().iter().map(|row| {
             Json::array(row.iter().map(|v| match v {
                 Value::Null => Json::Null,
                 Value::Int(i) => Json::Int(*i),
@@ -72,6 +72,12 @@ pub fn from_json(text: &str) -> Result<SymbolTable, LoadError> {
     let doc = parse(text)?;
     if doc["format"].as_str() != Some("hgdb-symbol-table") {
         return Err(LoadError::Shape("missing format marker".into()));
+    }
+    if doc["version"].as_i64() != Some(1) {
+        return Err(LoadError::Shape(format!(
+            "unsupported version {}",
+            doc["version"]
+        )));
     }
     let mut st = SymbolTable::new();
     // Insertion order respects foreign keys.
@@ -146,6 +152,18 @@ mod tests {
         assert!(from_json("not json").is_err());
         assert!(from_json("{}").is_err());
         assert!(from_json(r#"{"format":"other"}"#).is_err());
+        // Valid marker, another version (or none).
+        for version in [r#","version":2"#, r#","version":"1""#, ""] {
+            let doc = format!(
+                r#"{{"format":"hgdb-symbol-table"{version},
+                "instance":[], "variable":[], "breakpoint":[],
+                "scope_variable":[], "generator_variable":[]}}"#
+            );
+            assert!(
+                matches!(from_json(&doc), Err(LoadError::Shape(_))),
+                "{version}"
+            );
+        }
         // Valid marker, bad rows (FK violation: breakpoint without
         // instance).
         let bad = r#"{"format":"hgdb-symbol-table","version":1,

@@ -25,9 +25,12 @@ mod json;
 pub use build::from_debug_table;
 pub use json::{from_json, to_json, LoadError};
 
-use std::collections::HashMap;
+use minidb::{ColumnType, Database, DbError, Table, TableSchema, Value};
 
-use minidb::{ColumnType, Database, DbError, Query, Table, TableSchema, Value};
+/// The `breakpoint` columns a [`BreakpointInfo`] is decoded from.
+const BREAKPOINT_COLUMNS: [&str; 6] = [
+    "id", "filename", "line_num", "col_num", "enable", "instance",
+];
 
 /// A breakpoint row joined with its instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,41 +227,6 @@ impl SymbolTable {
         Ok(id)
     }
 
-    fn row_to_breakpoint(row: &minidb::ResultRow) -> BreakpointInfo {
-        BreakpointInfo {
-            id: row
-                .get("breakpoint.id")
-                .and_then(Value::as_int)
-                .unwrap_or(0),
-            filename: row
-                .get("breakpoint.filename")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-            line: row
-                .get("breakpoint.line_num")
-                .and_then(Value::as_int)
-                .unwrap_or(0) as u32,
-            col: row
-                .get("breakpoint.col_num")
-                .and_then(Value::as_int)
-                .unwrap_or(0) as u32,
-            enable: row
-                .get("breakpoint.enable")
-                .and_then(Value::as_str)
-                .map(str::to_owned),
-            instance_id: row
-                .get("breakpoint.instance")
-                .and_then(Value::as_int)
-                .unwrap_or(0),
-            instance_name: row
-                .get("instance.name")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-        }
-    }
-
     /// Primitive 1 — breakpoints at a source location, in scheduling
     /// order. `col = None` matches any column on the line; `line =
     /// None` matches the whole file.
@@ -272,22 +240,13 @@ impl SymbolTable {
         line: Option<u32>,
         col: Option<u32>,
     ) -> Result<Vec<BreakpointInfo>, DbError> {
-        let mut q = Query::table("breakpoint")
-            .filter_eq("filename", Value::text(filename))
-            .join("instance", "breakpoint.instance", "id");
-        if let Some(line) = line {
-            q = q.filter_eq("line_num", Value::Int(line as i64));
-        }
-        if let Some(col) = col {
-            q = q.filter_eq("col_num", Value::Int(col as i64));
-        }
-        let mut rows: Vec<BreakpointInfo> = q
-            .run(&self.db)?
-            .iter()
-            .map(Self::row_to_breakpoint)
-            .collect();
-        rows.sort_by_key(|b| b.id);
-        Ok(rows)
+        let (t, at) = self.scan("breakpoint", BREAKPOINT_COLUMNS)?;
+        let [_, _, line_num, col_num, _, _] = at;
+        let wanted =
+            |v: &Value, want: Option<u32>| want.is_none_or(|w| v.as_int() == Some(w.into()));
+        let rows = find(t, "filename", &Value::text(filename))?
+            .filter(|row| wanted(&row[line_num], line) && wanted(&row[col_num], col));
+        self.decode_breakpoints(rows, at)
     }
 
     /// All breakpoints in scheduling order (the precomputed "absolute
@@ -297,36 +256,8 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn all_breakpoints(&self) -> Result<Vec<BreakpointInfo>, DbError> {
-        // `breakpoint ⋈ instance` by direct scans, like
-        // `variable_bindings`: attach reads every row.
-        let (instances, [inst_id, inst_name]) = self.scan("instance", ["id", "name"])?;
-        let names: HashMap<i64, &str> = instances
-            .iter()
-            .filter_map(|(_, row)| Some((row[inst_id].as_int()?, row[inst_name].as_str()?)))
-            .collect();
-        let (breakpoints, [id, filename, line, col, enable, instance]) = self.scan(
-            "breakpoint",
-            [
-                "id", "filename", "line_num", "col_num", "enable", "instance",
-            ],
-        )?;
-        let mut rows: Vec<BreakpointInfo> = breakpoints
-            .iter()
-            .filter_map(|(_, row)| {
-                let instance_id = row[instance].as_int()?;
-                Some(BreakpointInfo {
-                    id: row[id].as_int().unwrap_or(0),
-                    filename: row[filename].as_str().unwrap_or_default().to_owned(),
-                    line: row[line].as_int().unwrap_or(0) as u32,
-                    col: row[col].as_int().unwrap_or(0) as u32,
-                    enable: row[enable].as_str().map(str::to_owned),
-                    instance_id,
-                    instance_name: (*names.get(&instance_id)?).to_owned(),
-                })
-            })
-            .collect();
-        rows.sort_by_key(|b| b.id);
-        Ok(rows)
+        let (t, at) = self.scan("breakpoint", BREAKPOINT_COLUMNS)?;
+        self.decode_breakpoints(t.rows().iter().map(Vec::as_slice), at)
     }
 
     /// A single breakpoint by id.
@@ -335,39 +266,51 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn breakpoint(&self, id: i64) -> Result<Option<BreakpointInfo>, DbError> {
-        let rows = Query::table("breakpoint")
-            .filter_eq("id", Value::Int(id))
-            .join("instance", "breakpoint.instance", "id")
-            .run(&self.db)?;
-        Ok(rows.first().map(Self::row_to_breakpoint))
+        let (t, at) = self.scan("breakpoint", BREAKPOINT_COLUMNS)?;
+        Ok(self
+            .decode_breakpoints(find(t, "id", &Value::Int(id))?, at)?
+            .pop())
+    }
+
+    /// `breakpoint` rows (their [`BREAKPOINT_COLUMNS`] at `at`) joined
+    /// with their instance through its primary key, sorted by id.
+    fn decode_breakpoints<'a>(
+        &self,
+        rows: impl Iterator<Item = &'a [Value]>,
+        [id, filename, line, col, enable, instance]: [usize; 6],
+    ) -> Result<Vec<BreakpointInfo>, DbError> {
+        let (instances, [name]) = self.scan("instance", ["name"])?;
+        let mut out = Vec::new();
+        for row in rows {
+            let Some(instance_name) = find(instances, "id", &row[instance])?.next() else {
+                continue;
+            };
+            out.push(BreakpointInfo {
+                id: row[id].as_int().unwrap_or(0),
+                filename: row[filename].as_str().unwrap_or_default().to_owned(),
+                line: row[line].as_int().unwrap_or(0) as u32,
+                col: row[col].as_int().unwrap_or(0) as u32,
+                enable: row[enable].as_str().map(str::to_owned),
+                instance_id: row[instance].as_int().unwrap_or(0),
+                instance_name: instance_name[name].as_str().unwrap_or_default().to_owned(),
+            });
+        }
+        out.sort_by_key(|b| b.id);
+        Ok(out)
     }
 
     /// Primitive 2 — scope information for a breakpoint: source
-    /// variable name → full hierarchical RTL name.
+    /// variable name → full hierarchical RTL name, sorted.
     ///
     /// # Errors
     ///
     /// Propagates database errors.
     pub fn scope_of(&self, breakpoint: i64) -> Result<Vec<(String, String)>, DbError> {
-        let rows = Query::table("scope_variable")
-            .filter_eq("breakpoint", Value::Int(breakpoint))
-            .join("variable", "scope_variable.variable", "id")
-            .run(&self.db)?;
-        let mut out: Vec<(String, String)> = rows
-            .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get("scope_variable.name")?.as_str()?.to_owned(),
-                    r.get("variable.value")?.as_str()?.to_owned(),
-                ))
-            })
-            .collect();
-        out.sort();
-        Ok(out)
+        self.bindings_of("scope_variable", "breakpoint", breakpoint)
     }
 
     /// Primitive 3 — resolve a scoped variable at a breakpoint to its
-    /// full RTL name.
+    /// full RTL name (the smallest, should two locals share a name).
     ///
     /// # Errors
     ///
@@ -385,7 +328,7 @@ impl SymbolTable {
     }
 
     /// Primitive 4 — resolve an instance variable (generator variable)
-    /// to its full RTL name.
+    /// to its full RTL name: the first such binding in row order.
     ///
     /// # Errors
     ///
@@ -395,56 +338,42 @@ impl SymbolTable {
         instance: i64,
         name: &str,
     ) -> Result<Option<String>, DbError> {
-        let rows = Query::table("generator_variable")
-            .filter_eq("instance", Value::Int(instance))
-            .filter_eq("name", Value::text(name))
-            .join("variable", "generator_variable.variable", "id")
-            .run(&self.db)?;
-        Ok(rows
-            .first()
-            .and_then(|r| r.get("variable.value"))
-            .and_then(Value::as_str)
-            .map(str::to_owned))
+        let b = self.bindings("generator_variable", "instance")?;
+        for row in find(b.table, "instance", &Value::Int(instance))? {
+            if let Some((_, n, rtl)) = b.decode(row)? {
+                if n == name {
+                    return Ok(Some(rtl.to_owned()));
+                }
+            }
+        }
+        Ok(None)
     }
 
-    /// All generator variables of an instance: name → full RTL name.
+    /// All generator variables of an instance: name → full RTL name,
+    /// sorted.
     ///
     /// # Errors
     ///
     /// Propagates database errors.
     pub fn instance_variables(&self, instance: i64) -> Result<Vec<(String, String)>, DbError> {
-        let rows = Query::table("generator_variable")
-            .filter_eq("instance", Value::Int(instance))
-            .join("variable", "generator_variable.variable", "id")
-            .run(&self.db)?;
-        let mut out: Vec<(String, String)> = rows
-            .iter()
-            .filter_map(|r| {
-                Some((
-                    r.get("generator_variable.name")?.as_str()?.to_owned(),
-                    r.get("variable.value")?.as_str()?.to_owned(),
-                ))
-            })
-            .collect();
-        out.sort();
-        Ok(out)
+        self.bindings_of("generator_variable", "instance", instance)
     }
 
     /// Every scope-variable binding as `(breakpoint, source name, full
     /// RTL name)`, in row order: primitive 2 for all breakpoints at
-    /// once, one join where [`SymbolTable::scope_of`] runs one per
+    /// once, one scan where [`SymbolTable::scope_of`] looks up one
     /// breakpoint.
     ///
     /// # Errors
     ///
     /// Propagates database errors.
     pub fn all_scope_variables(&self) -> Result<Vec<(i64, String, String)>, DbError> {
-        self.variable_bindings("scope_variable", "breakpoint")
+        self.all_bindings("scope_variable", "breakpoint")
     }
 
     /// Every generator-variable binding as `(instance, name, full RTL
     /// name)`, in row order: [`SymbolTable::instance_variables`] for
-    /// all instances at once, in one join. The first row of an
+    /// all instances at once, in one scan. The first row of an
     /// instance and name is the binding
     /// [`SymbolTable::resolve_instance_variable`] answers.
     ///
@@ -452,35 +381,54 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn all_generator_variables(&self) -> Result<Vec<(i64, String, String)>, DbError> {
-        self.variable_bindings("generator_variable", "instance")
+        self.all_bindings("generator_variable", "instance")
     }
 
-    /// `table ⋈ variable` as `(owner, name, full RTL name)` in `table`'s
-    /// row order, the owner read from `owner_column`. Scans both tables
-    /// once, without the query engine's per-row column copies: the
-    /// runtime reads every binding at attach.
-    fn variable_bindings(
+    /// Every row of a binding table as `(owner, name, full RTL name)`.
+    fn all_bindings(
         &self,
         table: &str,
         owner_column: &str,
     ) -> Result<Vec<(i64, String, String)>, DbError> {
-        let (variables, [var_id, value]) = self.scan("variable", ["id", "value"])?;
-        let rtl: HashMap<i64, &str> = variables
-            .iter()
-            .filter_map(|(_, row)| Some((row[var_id].as_int()?, row[value].as_str()?)))
-            .collect();
-        let (bindings, [owner, name, variable]) =
-            self.scan(table, [owner_column, "name", "variable"])?;
-        Ok(bindings
-            .iter()
-            .filter_map(|(_, row)| {
-                Some((
-                    row[owner].as_int()?,
-                    row[name].as_str()?.to_owned(),
-                    (*rtl.get(&row[variable].as_int()?)?).to_owned(),
-                ))
-            })
-            .collect())
+        let b = self.bindings(table, owner_column)?;
+        let mut out = Vec::new();
+        for row in b.table.rows() {
+            if let Some((owner, name, rtl)) = b.decode(row)? {
+                out.push((owner, name.to_owned(), rtl.to_owned()));
+            }
+        }
+        Ok(out)
+    }
+
+    /// `(name, full RTL name)` of one owner's rows in a binding table,
+    /// found through the owner column's index, sorted.
+    fn bindings_of(
+        &self,
+        table: &str,
+        owner_column: &str,
+        owner: i64,
+    ) -> Result<Vec<(String, String)>, DbError> {
+        let b = self.bindings(table, owner_column)?;
+        let mut out = Vec::new();
+        for row in find(b.table, owner_column, &Value::Int(owner))? {
+            if let Some((_, name, rtl)) = b.decode(row)? {
+                out.push((name.to_owned(), rtl.to_owned()));
+            }
+        }
+        out.sort();
+        Ok(out)
+    }
+
+    /// The binding `table`, its owner read from `owner_column`.
+    fn bindings(&self, table: &str, owner_column: &str) -> Result<Bindings<'_>, DbError> {
+        let (table, at) = self.scan(table, [owner_column, "name", "variable"])?;
+        let (variables, [value]) = self.scan("variable", ["value"])?;
+        Ok(Bindings {
+            table,
+            at,
+            variables,
+            value,
+        })
     }
 
     /// A table and the positions of `columns` in its rows.
@@ -512,28 +460,26 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn instances(&self) -> Result<Vec<(i64, String)>, DbError> {
-        let mut out: Vec<(i64, String)> = Query::table("instance")
-            .run(&self.db)?
+        let (t, [id, name]) = self.scan("instance", ["id", "name"])?;
+        let mut out: Vec<(i64, String)> = t
+            .rows()
             .iter()
-            .filter_map(|r| Some((r.get("id")?.as_int()?, r.get("name")?.as_str()?.to_owned())))
+            .filter_map(|row| Some((row[id].as_int()?, row[name].as_str()?.to_owned())))
             .collect();
         out.sort();
         Ok(out)
     }
 
-    /// Instance id by hierarchical name.
+    /// Instance id by hierarchical name (the first such row).
     ///
     /// # Errors
     ///
     /// Propagates database errors.
     pub fn instance_by_name(&self, name: &str) -> Result<Option<i64>, DbError> {
-        let rows = Query::table("instance")
-            .filter_eq("name", Value::text(name))
-            .run(&self.db)?;
-        Ok(rows
-            .first()
-            .and_then(|r| r.get("id"))
-            .and_then(Value::as_int))
+        let (t, [id]) = self.scan("instance", ["id"])?;
+        Ok(find(t, "name", &Value::text(name))?
+            .next()
+            .and_then(|row| row[id].as_int()))
     }
 
     /// Every distinct RTL path in the variable table, sorted. The
@@ -544,14 +490,7 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn variable_paths(&self) -> Result<Vec<String>, DbError> {
-        let rows = Query::table("variable").run(&self.db)?;
-        let mut out: Vec<String> = rows
-            .iter()
-            .filter_map(|r| r.get("value")?.as_str().map(str::to_owned))
-            .collect();
-        out.sort();
-        out.dedup();
-        Ok(out)
+        self.distinct("variable", "value")
     }
 
     /// Distinct filenames with breakpoints.
@@ -560,14 +499,20 @@ impl SymbolTable {
     ///
     /// Propagates database errors.
     pub fn files(&self) -> Result<Vec<String>, DbError> {
-        let rows = Query::table("breakpoint").run(&self.db)?;
-        let mut files: Vec<String> = rows
+        self.distinct("breakpoint", "filename")
+    }
+
+    /// The distinct text values of one column, sorted.
+    fn distinct(&self, table: &str, column: &str) -> Result<Vec<String>, DbError> {
+        let (t, [at]) = self.scan(table, [column])?;
+        let mut out: Vec<String> = t
+            .rows()
             .iter()
-            .filter_map(|r| r.get("filename")?.as_str().map(str::to_owned))
+            .filter_map(|row| row[at].as_str().map(str::to_owned))
             .collect();
-        files.sort();
-        files.dedup();
-        Ok(files)
+        out.sort();
+        out.dedup();
+        Ok(out)
     }
 
     /// Approximate size in bytes (the §4.1 "30% larger in debug mode"
@@ -585,6 +530,43 @@ impl SymbolTable {
 impl Default for SymbolTable {
     fn default() -> Self {
         SymbolTable::new()
+    }
+}
+
+/// The rows of `t` where `column == key`, in insertion order: a
+/// lookup through `t`'s primary key or a declared index.
+fn find<'t>(
+    t: &'t Table,
+    column: &str,
+    key: &Value,
+) -> Result<impl Iterator<Item = &'t [Value]>, DbError> {
+    let ids = t.find_rows(column, key)?;
+    Ok((0..ids.len()).map(move |i| t.rows()[ids[i]].as_slice()))
+}
+
+/// A binding table (`scope_variable` or `generator_variable`) whose
+/// rows are read with their RTL names.
+struct Bindings<'a> {
+    table: &'a Table,
+    /// Positions of the owner, `name` and `variable` columns.
+    at: [usize; 3],
+    variables: &'a Table,
+    /// Position of `variable.value`.
+    value: usize,
+}
+
+impl<'a> Bindings<'a> {
+    /// `(owner, name, full RTL name)` of one row, the RTL name read
+    /// through the `variable` primary key.
+    fn decode(&self, row: &'a [Value]) -> Result<Option<(i64, &'a str, &'a str)>, DbError> {
+        let [owner, name, variable] = self.at;
+        let rtl = find(self.variables, "id", &row[variable])?
+            .next()
+            .and_then(|v| v[self.value].as_str());
+        Ok(match (row[owner].as_int(), row[name].as_str(), rtl) {
+            (Some(owner), Some(name), Some(rtl)) => Some((owner, name, rtl)),
+            _ => None,
+        })
     }
 }
 

@@ -434,3 +434,30 @@ fn lagged_session_keeps_its_replies() {
     driver.detach().unwrap();
     let _ = service.shutdown();
 }
+
+/// `wait_event_timeout` on a quiet in-process session gives up at its
+/// deadline instead of blocking until the next event, and the session
+/// stays usable. The wait runs on a helper thread so that a transport
+/// ignoring the deadline fails this test rather than hanging it.
+#[test]
+fn quiet_in_process_session_times_out() {
+    let (service, _) = spawn_service();
+    let mut client = DebugClient::new(service.handle().connect().unwrap());
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let got = client
+            .wait_event_timeout(std::time::Duration::from_millis(50))
+            .map_err(|e| e.to_string());
+        let _ = tx.send((got, client));
+    });
+    // On a hang the waiter cannot be joined; failing here leaves it
+    // blocked until the service shuts down.
+    let (got, mut client) = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("wait_event_timeout(50 ms) still blocked after 10 s");
+    waiter.join().expect("waiter thread panicked");
+    assert_eq!(got, Ok(None), "no event on a quiet session");
+    assert_eq!(client.time().unwrap(), 0, "the session still answers");
+    client.detach().unwrap();
+    let _ = service.shutdown();
+}
