@@ -210,15 +210,8 @@ pub fn compile_wide(stages: usize) -> CompiledCore {
 /// `sim_throughput` bench and binary so both measure the same design
 /// under the same drive.
 pub fn loaded_wide_sim(stages: usize) -> Simulator {
-    loaded_wide_sim_with(stages, SimConfig::default())
-}
-
-/// [`loaded_wide_sim`] with an explicit engine configuration — used by
-/// the `--threads N` rows of the `sim_throughput` binary to measure the
-/// same design under different worker counts.
-pub fn loaded_wide_sim_with(stages: usize, config: SimConfig) -> Simulator {
     let wide = compile_wide(stages);
-    let mut sim = Simulator::with_config(&wide.circuit, config).expect("wide sim builds");
+    let mut sim = Simulator::new(&wide.circuit).expect("wide sim builds");
     sim.poke("wide.sel", Bits::from_bool(true)).expect("sel");
     sim.poke("wide.x", Bits::from_u64(0xDEAD_BEEF, 192))
         .expect("x");
@@ -233,7 +226,7 @@ pub fn measure_throughput(sim: &mut Simulator, cycles: u64) -> f64 {
 }
 
 /// [`measure_throughput`] with `warmup` untimed cycles first, so the
-/// timed window starts with caches and the worker pool hot.
+/// timed window starts with caches hot.
 pub fn measure_throughput_warmed(sim: &mut Simulator, warmup: u64, cycles: u64) -> f64 {
     for _ in 0..warmup {
         sim.step_clock();
@@ -485,26 +478,6 @@ mod tests {
             debug_st.size_in_bytes(),
             release_st.size_in_bytes()
         );
-    }
-
-    #[test]
-    fn parallel_workers_reproduce_sequential_tohost() {
-        let core = compile_core(false);
-        let workload = rv32::programs::multiply();
-        let mut results = Vec::new();
-        for workers in [1, 4] {
-            let mut cfg = SimConfig::with_workers(workers);
-            // Force the sharded schedules even on small dirty sets so
-            // this test exercises the parallel paths regardless of
-            // sweep size.
-            cfg.min_parallel_work = 1;
-            let mut sim = loaded_sim_with(&core, &workload, cfg);
-            let cycles = run_plain(&mut sim, &core.top, 200_000);
-            let tohost = sim.peek("cpu.tohost").expect("tohost").to_u64() as u32;
-            results.push((cycles, tohost));
-        }
-        assert_eq!(results[0], results[1], "parallel run diverged");
-        assert_eq!(results[0].1, workload.expected);
     }
 
     #[test]

@@ -1543,7 +1543,10 @@ impl<S: SimControl> Runtime<S> {
     /// breakpoint whose enable holds), crossing cycle boundaries as
     /// needed, up to `max_cycles`. Stepping ignores user breakpoint
     /// conditions — it visits every active statement, whoever
-    /// instrumented it.
+    /// instrumented it — and does not stop on watchpoint changes: a
+    /// step that crosses a clock edge re-reads every watchpoint's
+    /// baseline where it lands, so the next `continue` reports only
+    /// changes made after the step.
     ///
     /// # Errors
     ///
@@ -1551,33 +1554,25 @@ impl<S: SimControl> Runtime<S> {
     pub fn step(&mut self, max_cycles: Option<u64>) -> Result<RunOutcome, DebugError> {
         self.ensure_not_degraded()?;
         let mut cycles: u64 = 0;
-        loop {
-            for gi in self.scheduler.remaining_forward() {
-                let (hits, sessions) = self.eval_group(gi, false);
-                if !hits.is_empty() {
-                    return Ok(self.stop(gi, hits, sessions));
-                }
-                self.scheduler.stop_at(gi);
+        let outcome = loop {
+            if let Some(event) = self.step_through(self.scheduler.remaining_forward()) {
+                break event;
             }
-            if let Some(max) = max_cycles {
-                if cycles >= max {
-                    self.stopped = None;
-                    return Ok(RunOutcome::Finished {
-                        time: self.sim.time(),
-                    });
-                }
-            }
-            if !self.sim.step_clock() {
+            if max_cycles.is_some_and(|max| cycles >= max) || !self.sim.step_clock() {
                 self.stopped = None;
-                return Ok(RunOutcome::Finished {
+                break RunOutcome::Finished {
                     time: self.sim.time(),
-                });
+                };
             }
             cycles += 1;
             self.scheduler.reset_cycle();
             self.stopped = None;
             self.maybe_auto_checkpoint();
+        };
+        if cycles > 0 {
+            self.rebaseline_watches();
         }
+        Ok(outcome)
     }
 
     /// Steps *backwards* to the previous active statement: first
@@ -1585,7 +1580,9 @@ impl<S: SimControl> Runtime<S> {
     /// (intra-cycle reverse debugging, available on any backend), then
     /// across cycles — natively when the backend supports reversing
     /// time (§3.2), otherwise by restoring the nearest checkpoint and
-    /// replaying forward to the previous cycle.
+    /// replaying forward to the previous cycle. Like [`Runtime::step`]
+    /// it does not stop on watchpoint changes; each cycle it crosses
+    /// re-reads the watchpoint baselines.
     ///
     /// # Errors
     ///
@@ -1596,12 +1593,8 @@ impl<S: SimControl> Runtime<S> {
     pub fn reverse_step(&mut self) -> Result<RunOutcome, DebugError> {
         self.ensure_not_degraded()?;
         loop {
-            for gi in self.scheduler.remaining_backward() {
-                let (hits, sessions) = self.eval_group(gi, false);
-                if !hits.is_empty() {
-                    return Ok(self.stop(gi, hits, sessions));
-                }
-                self.scheduler.stop_at(gi);
+            if let Some(event) = self.step_through(self.scheduler.remaining_backward()) {
+                return Ok(event);
             }
             // Exhausted this cycle: reverse time.
             let t = self.sim.time();
@@ -1609,18 +1602,29 @@ impl<S: SimControl> Runtime<S> {
                 self.stopped = None;
                 return Ok(RunOutcome::Finished { time: 0 });
             }
-            if self.sim.supports_reverse() {
-                self.sim.set_time(t - 1)?;
-                if self.sim.time() == t {
-                    self.stopped = None;
-                    return Ok(RunOutcome::Finished { time: t });
-                }
-            } else {
-                self.rewind_raw(t - 1)?;
+            self.rewind_raw(t - 1)?;
+            if self.sim.time() == t {
+                self.stopped = None;
+                return Ok(RunOutcome::Finished { time: t });
             }
             self.scheduler.reset_cycle();
             self.stopped = None;
         }
+    }
+
+    /// Evaluates `groups` in order the way a step does — every active
+    /// statement, ignoring user conditions — and stops at the first
+    /// that hits, moving the in-cycle cursor past each one that does
+    /// not.
+    fn step_through(&mut self, groups: impl Iterator<Item = usize>) -> Option<RunOutcome> {
+        for gi in groups {
+            let (hits, sessions) = self.eval_group(gi, false);
+            if !hits.is_empty() {
+                return Some(self.stop(gi, hits, sessions));
+            }
+            self.scheduler.stop_at(gi);
+        }
+        None
     }
 
     /// Resumes execution *backwards* to the most recent
@@ -1764,17 +1768,5 @@ impl<S: SimControl> Runtime<S> {
                 }
             }
         }
-    }
-
-    /// Advances exactly one clock cycle without breakpoint evaluation
-    /// (testbench-style control).
-    pub fn step_cycle(&mut self) -> bool {
-        let advanced = self.sim.step_clock();
-        if advanced {
-            self.scheduler.reset_cycle();
-            self.stopped = None;
-            self.maybe_auto_checkpoint();
-        }
-        advanced
     }
 }

@@ -259,9 +259,9 @@ impl Database {
             }
             let target = self
                 .tables
-                .get(&fk.ref_table)
-                .ok_or_else(|| DbError::NoSuchTable(fk.ref_table.clone()))?;
-            if target.find_rows(&fk.ref_column, v)?.is_empty() {
+                .get(fk.ref_table)
+                .ok_or_else(|| DbError::NoSuchTable(fk.ref_table.to_owned()))?;
+            if target.find_rows(fk.ref_column, v)?.is_empty() {
                 return Err(DbError::ForeignKeyViolation {
                     table: table.to_owned(),
                     detail: format!(

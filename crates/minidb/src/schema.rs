@@ -23,15 +23,16 @@ pub struct Column {
 }
 
 /// A foreign-key constraint: `column` must contain a value present in
-/// `ref_table.ref_column` (or NULL if the column is nullable).
+/// `ref_table.ref_column` (or NULL if the column is nullable). Borrows
+/// the names from its [`TableSchema`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForeignKey {
+pub struct ForeignKey<'a> {
     /// Index of the referencing column in this table.
     pub column: usize,
     /// Referenced table name.
-    pub ref_table: String,
+    pub ref_table: &'a str,
     /// Referenced column name.
-    pub ref_column: String,
+    pub ref_column: &'a str,
 }
 
 /// A table schema, built with a fluent API.
@@ -145,19 +146,16 @@ impl TableSchema {
         &self.indices
     }
 
-    /// Resolved foreign keys; only valid after `Table::new`
-    /// validation.
-    pub fn foreign_keys(&self) -> Vec<ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter_map(|(col, rt, rc)| {
-                self.column_index(col).map(|i| ForeignKey {
-                    column: i,
-                    ref_table: rt.clone(),
-                    ref_column: rc.clone(),
-                })
+    /// Resolved foreign keys, borrowed from the schema; only valid
+    /// after `Table::new` validation.
+    pub fn foreign_keys(&self) -> impl Iterator<Item = ForeignKey<'_>> {
+        self.foreign_keys.iter().filter_map(|(col, rt, rc)| {
+            self.column_index(col).map(|i| ForeignKey {
+                column: i,
+                ref_table: rt,
+                ref_column: rc,
             })
-            .collect()
+        })
     }
 
     /// Validates internal consistency: all referenced columns exist and
@@ -235,7 +233,7 @@ mod tests {
             .column("id", ColumnType::Int)
             .column("parent", ColumnType::Int)
             .foreign_key("parent", "t", "id");
-        let fks = s.foreign_keys();
+        let fks: Vec<ForeignKey<'_>> = s.foreign_keys().collect();
         assert_eq!(fks.len(), 1);
         assert_eq!(fks[0].column, 1);
         assert_eq!(fks[0].ref_table, "t");

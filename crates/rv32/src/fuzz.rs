@@ -537,8 +537,8 @@ impl Harness {
         }
 
         let config = match mode {
-            Mode::TwoState => SimConfig::with_workers(1),
-            Mode::FourState => SimConfig::with_workers(1).four_state(),
+            Mode::TwoState => SimConfig::default(),
+            Mode::FourState => SimConfig::default().four_state(),
         };
         let mut sim = Simulator::with_config(&self.state.circuit, config).expect("sim builds");
         for (i, w) in program.iter().enumerate() {

@@ -1,5 +1,4 @@
-//! Bytecode compilation and evaluation of combinational expressions,
-//! and the compile-time partitioner behind the parallel sweep.
+//! Bytecode compilation and evaluation of combinational expressions.
 //!
 //! At `Simulator::new` time every [`CExpr`](crate::netlist::CExpr) tree
 //! is lowered into flat postorder bytecode: a shared `Vec<Op>` over
@@ -9,16 +8,6 @@
 //! representation) zero heap allocation for signals ≤ 64 bits wide.
 //! Mux keeps the tree-walker's lazy semantics through explicit branch
 //! instructions, so only the selected arm is evaluated.
-//!
-//! [`plan_partition`] groups the combinational definitions into
-//! **regions** — weakly-connected components of the def-to-def
-//! dependency graph — and assigns every def a **topological level**
-//! (longest dependency path from a region source). No combinational
-//! edge crosses a region boundary, so regions can be swept by
-//! different workers with no synchronization; within a region, defs on
-//! the same level never read each other's outputs, so a level can be
-//! split across workers with a barrier between levels. The metadata
-//! lives in [`Partition`] and drives `crate::parallel`.
 
 use bits::{Bits, Bits4};
 use hgf_ir::expr::{apply_binary, apply_binary4, apply_unary4, BinaryOp, UnaryOp};
@@ -138,28 +127,12 @@ fn stack_depth(e: &CExpr) -> usize {
     }
 }
 
-/// Read access to the signal value table during bytecode execution.
-///
-/// `exec` is generic over this so the sequential sweep can pass a plain
-/// slice while the parallel sweep passes a `RaceSlice` view that hands
-/// out disjoint mutable slots to concurrent workers.
-pub(crate) trait ValueSource {
-    fn get(&self, i: usize) -> &Bits;
-}
-
-impl ValueSource for [Bits] {
-    #[inline]
-    fn get(&self, i: usize) -> &Bits {
-        &self[i]
-    }
-}
-
 /// Executes one compiled range against the current signal values and
 /// memory contents, using (and leaving empty) the scratch stack.
-pub(crate) fn exec<V: ValueSource + ?Sized>(
+pub(crate) fn exec(
     prog: &Program,
     range: CodeRange,
-    values: &V,
+    values: &[Bits],
     mems: &[MemState],
     stack: &mut Vec<Bits>,
 ) -> Bits {
@@ -170,7 +143,7 @@ pub(crate) fn exec<V: ValueSource + ?Sized>(
     while pc < end {
         match &ops[pc] {
             Op::Lit(i) => stack.push(prog.lits[*i as usize].clone()),
-            Op::Sig(i) => stack.push(values.get(*i as usize).clone()),
+            Op::Sig(i) => stack.push(values[*i as usize].clone()),
             Op::Unary(op) => {
                 let v = stack.last_mut().expect("operand");
                 *v = match op {
@@ -222,24 +195,17 @@ pub(crate) fn exec<V: ValueSource + ?Sized>(
     stack.pop().expect("result")
 }
 
-/// Read access to the four-state signal table during bytecode
-/// execution: the two-state value plane plus the unknown plane.
-///
-/// Mirrors [`ValueSource`] so the sequential sweep can pass plain plane
-/// slices and the parallel sweep can pass `RaceSlice` views.
-pub(crate) trait ValueSource4 {
-    fn get4(&self, i: usize) -> Bits4;
-}
-
-/// Plane-pair view over two slices, the sequential-sweep source.
+/// The four-state signal table during bytecode execution: the
+/// two-state value plane plus the unknown plane.
 pub(crate) struct Planes<'a> {
     pub(crate) vals: &'a [Bits],
     pub(crate) unks: &'a [Bits],
 }
 
-impl ValueSource4 for Planes<'_> {
+impl Planes<'_> {
+    /// The four-state value of signal slot `i`.
     #[inline]
-    fn get4(&self, i: usize) -> Bits4 {
+    pub(crate) fn get4(&self, i: usize) -> Bits4 {
         Bits4::from_planes(self.vals[i].clone(), self.unks[i].clone())
     }
 }
@@ -253,10 +219,10 @@ impl ValueSource4 for Planes<'_> {
 /// ranges are evaluated (recursively — arms can nest) and merged with
 /// [`Bits4::merge`], per IEEE-1800 §11.4.11. Known conditions keep the
 /// lazy single-arm evaluation.
-pub(crate) fn exec4<V: ValueSource4 + ?Sized>(
+pub(crate) fn exec4(
     prog: &Program,
     range: CodeRange,
-    values: &V,
+    values: &Planes<'_>,
     mems: &[MemState],
     munks: &[Vec<Bits>],
     stack: &mut Vec<Bits4>,
@@ -278,11 +244,11 @@ pub(crate) fn exec4<V: ValueSource4 + ?Sized>(
 
 /// Runs ops in `[start, end)`, leaving the range's one result value on
 /// the stack.
-fn exec4_range<V: ValueSource4 + ?Sized>(
+fn exec4_range(
     prog: &Program,
     start: usize,
     end: usize,
-    values: &V,
+    values: &Planes<'_>,
     mems: &[MemState],
     munks: &[Vec<Bits>],
     stack: &mut Vec<Bits4>,
@@ -364,144 +330,6 @@ fn exec4_range<V: ValueSource4 + ?Sized>(
         }
         pc += 1;
     }
-}
-
-/// One independent combinational region: a contiguous run of def
-/// indices in the final (region-major) def order.
-#[derive(Debug, Clone)]
-pub(crate) struct Region {
-    /// First def index of this region (inclusive).
-    pub(crate) start: u32,
-    /// One past the last def index of this region.
-    pub(crate) end: u32,
-    /// Start offsets of each topological level, relative to `start`,
-    /// with a trailing sentinel equal to `end - start`. Level `l`
-    /// spans defs `start + level_starts[l] .. start + level_starts[l+1]`.
-    pub(crate) level_starts: Vec<u32>,
-}
-
-impl Region {
-    /// Number of defs in the region (test-only diagnostic).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
-    /// Number of topological levels in the region.
-    pub(crate) fn level_count(&self) -> usize {
-        self.level_starts.len() - 1
-    }
-}
-
-/// Compile-time plan for the parallel sweep: which defs form
-/// independent regions, and the level schedule inside each region.
-///
-/// All def indices here refer to the **final** def order produced by
-/// [`plan_partition`] (region-major, level-sorted within each region),
-/// which is itself a valid global topological order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Partition {
-    /// Regions in final-order position; `regions[r]` covers the
-    /// contiguous def range `[start, end)`.
-    pub(crate) regions: Vec<Region>,
-    /// Region id of each def (indexed by final def index).
-    pub(crate) region_of: Vec<u32>,
-    /// Topological level of each def within its region (indexed by
-    /// final def index).
-    pub(crate) level_of: Vec<u32>,
-}
-
-/// Groups combinational defs into independent regions and levels.
-///
-/// `preds[d]` lists the def indices def `d` combinationally depends on
-/// and `topo` is any valid topological order of `0..preds.len()`; both
-/// use the caller's original def indexing. Returns the final def order
-/// (original indices, region-major and level-sorted — still a valid
-/// topological order, since regions share no edges and levels are
-/// strictly increasing along edges) plus the [`Partition`] metadata
-/// expressed in final-order indices.
-pub(crate) fn plan_partition(preds: &[Vec<usize>], topo: &[usize]) -> (Vec<usize>, Partition) {
-    let n = preds.len();
-    debug_assert_eq!(topo.len(), n);
-
-    // Union-find over defs: weakly-connected components of the
-    // dependency graph become regions. Path-halving keeps finds cheap
-    // without a rank array.
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    for (d, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            let a = find(&mut parent, d as u32);
-            let b = find(&mut parent, p as u32);
-            if a != b {
-                parent[a as usize] = b;
-            }
-        }
-    }
-
-    // Longest-path level per def, computed in topological order so
-    // every predecessor level is final before it is read.
-    let mut level = vec![0u32; n];
-    for &d in topo {
-        let mut l = 0;
-        for &p in &preds[d] {
-            l = l.max(level[p] + 1);
-        }
-        level[d] = l;
-    }
-
-    // Number regions by first appearance in topo order, so the final
-    // def order stays close to the original one.
-    let mut region_id = vec![u32::MAX; n];
-    let mut nregions = 0u32;
-    for &d in topo {
-        let root = find(&mut parent, d as u32) as usize;
-        if region_id[root] == u32::MAX {
-            region_id[root] = nregions;
-            nregions += 1;
-        }
-        region_id[d] = region_id[root];
-    }
-
-    // Final order: stable sort of the topo order by (region, level).
-    // Stability preserves the topo order among same-level defs of a
-    // region, keeping the result deterministic.
-    let mut order: Vec<usize> = topo.to_vec();
-    order.sort_by_key(|&d| (region_id[d], level[d]));
-
-    let mut partition = Partition {
-        regions: Vec::with_capacity(nregions as usize),
-        region_of: Vec::with_capacity(n),
-        level_of: Vec::with_capacity(n),
-    };
-    for (i, &d) in order.iter().enumerate() {
-        let r = region_id[d];
-        let l = level[d];
-        if partition.regions.len() <= r as usize {
-            partition.regions.push(Region {
-                start: i as u32,
-                end: i as u32,
-                level_starts: Vec::new(),
-            });
-        }
-        let region = partition.regions.last_mut().expect("region pushed");
-        while region.level_starts.len() <= l as usize {
-            region.level_starts.push(i as u32 - region.start);
-        }
-        region.end = i as u32 + 1;
-        partition.region_of.push(r);
-        partition.level_of.push(l);
-    }
-    for region in &mut partition.regions {
-        region.level_starts.push(region.end - region.start);
-    }
-    (order, partition)
 }
 
 #[cfg(test)]
@@ -864,83 +692,5 @@ mod tests {
             .expect("jump emitted");
         assert!(jump_target as usize == prog.ops.len());
         assert!(br_target < jump_target);
-    }
-
-    #[test]
-    fn partition_splits_independent_chains() {
-        // Two disjoint chains: 0 -> 1 -> 2 and 3 -> 4.
-        let preds = vec![vec![], vec![0], vec![1], vec![], vec![3]];
-        let topo = vec![0, 3, 1, 4, 2];
-        let (order, p) = plan_partition(&preds, &topo);
-        assert_eq!(p.regions.len(), 2);
-        // Each region is contiguous and covers the right defs.
-        let r0: Vec<usize> = order[p.regions[0].start as usize..p.regions[0].end as usize].to_vec();
-        let r1: Vec<usize> = order[p.regions[1].start as usize..p.regions[1].end as usize].to_vec();
-        assert_eq!(r0, vec![0, 1, 2]);
-        assert_eq!(r1, vec![3, 4]);
-        assert_eq!(p.regions[0].level_count(), 3);
-        assert_eq!(p.regions[1].level_count(), 2);
-        // Levels strictly increase along every edge.
-        let pos: Vec<usize> = {
-            let mut pos = vec![0; order.len()];
-            for (i, &d) in order.iter().enumerate() {
-                pos[d] = i;
-            }
-            pos
-        };
-        for (d, ps) in preds.iter().enumerate() {
-            for &pr in ps {
-                assert!(p.level_of[pos[pr]] < p.level_of[pos[d]]);
-                assert_eq!(p.region_of[pos[pr]], p.region_of[pos[d]]);
-            }
-        }
-    }
-
-    #[test]
-    fn partition_diamond_is_one_region_with_levels() {
-        // Diamond: 0 feeds 1 and 2; both feed 3.
-        let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        let topo = vec![0, 1, 2, 3];
-        let (order, p) = plan_partition(&preds, &topo);
-        assert_eq!(p.regions.len(), 1);
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        assert_eq!(p.level_of, vec![0, 1, 1, 2]);
-        assert_eq!(p.regions[0].level_starts, vec![0, 1, 3, 4]);
-        // Level 1 spans defs 1..3 — the two independent middle nodes.
-        let r = &p.regions[0];
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.level_count(), 3);
-    }
-
-    #[test]
-    fn partition_of_isolated_defs_is_all_singletons() {
-        let preds = vec![vec![], vec![], vec![]];
-        let topo = vec![2, 0, 1];
-        let (order, p) = plan_partition(&preds, &topo);
-        assert_eq!(order, vec![2, 0, 1]);
-        assert_eq!(p.regions.len(), 3);
-        for r in &p.regions {
-            assert_eq!(r.len(), 1);
-            assert_eq!(r.level_count(), 1);
-        }
-    }
-
-    #[test]
-    fn partition_final_order_is_topological() {
-        // Cross-linked graph that forces reordering: two chains joined
-        // at the tail, interleaved topo input.
-        let preds = vec![vec![], vec![], vec![0], vec![1], vec![2, 3]];
-        let topo = vec![1, 0, 3, 2, 4];
-        let (order, p) = plan_partition(&preds, &topo);
-        assert_eq!(p.regions.len(), 1);
-        let mut pos = vec![0; order.len()];
-        for (i, &d) in order.iter().enumerate() {
-            pos[d] = i;
-        }
-        for (d, ps) in preds.iter().enumerate() {
-            for &pr in ps {
-                assert!(pos[pr] < pos[d], "pred {pr} must precede {d}");
-            }
-        }
     }
 }

@@ -21,14 +21,12 @@
 //! # Fast paths
 //!
 //! Combinational logic executes as compiled bytecode over an
-//! incremental dirty set (see the [`Simulator`] docs): state changes
-//! re-evaluate only their fan-out cone, and values ≤ 64 bits never
-//! touch the heap. Large sweeps can additionally be sharded across a
-//! worker pool — bit-identically to the sequential engine — via
-//! [`SimConfig`] (or the `SIM_WORKERS` environment variable) and
-//! [`Simulator::with_config`]. Per-cycle instrumentation should intern paths once
-//! with [`Simulator::signal_id`] (or [`SimControl::signal_id`] when
-//! written against the trait) and read through [`Simulator::peek_id`] /
+//! incremental dirty set (see the [`Simulator`] docs): one sweep walks
+//! the definitions in topological order, state changes re-evaluate
+//! only their fan-out cone, and values ≤ 64 bits never touch the heap.
+//! Per-cycle instrumentation should intern paths once with
+//! [`Simulator::signal_id`] (or [`SimControl::signal_id`] when written
+//! against the trait) and read through [`Simulator::peek_id`] /
 //! [`SimControl::get_value_by_id`] — a dense-index load instead of a
 //! string hash per sample. [`ClockView::get_value_id`] is the same
 //! fast path inside clock callbacks.
@@ -58,12 +56,10 @@
 mod compile;
 mod control;
 mod netlist;
-mod parallel;
 #[cfg(test)]
 mod proptests;
 mod simulator;
 
 pub use control::{HierNode, SignalId, SimControl, SimError};
 pub use netlist::FlatNetlist;
-pub use parallel::SimConfig;
-pub use simulator::{CallbackId, ClockCallback, ClockView, Simulator, Snapshot};
+pub use simulator::{CallbackId, ClockCallback, ClockView, SimConfig, Simulator, Snapshot};

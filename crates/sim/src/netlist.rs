@@ -5,11 +5,12 @@
 //! into an index-resolved tree ([`CExpr`]) and from there into flat
 //! postorder bytecode (see [`crate::compile`]) so evaluation never
 //! touches strings or heap-allocated tree nodes. Combinational
-//! definitions are topologically ordered (levelized) so one linear
-//! sweep per cycle reaches the zero-delay fixpoint — the property §3
-//! of the paper relies on ("all logical values will be stable at every
-//! clock edge") — and the per-signal fan-out graph lets the simulator
-//! re-evaluate only the cone affected by a change.
+//! definitions are kept in the topological order Kahn's algorithm
+//! gives them, so one linear sweep per cycle reaches the zero-delay
+//! fixpoint — the property §3 of the paper relies on ("all logical
+//! values will be stable at every clock edge") — and the per-signal
+//! fan-out graph lets the simulator re-evaluate only the cone affected
+//! by a change.
 
 use std::collections::HashMap;
 
@@ -17,7 +18,7 @@ use bits::Bits;
 use hgf_ir::expr::{BinaryOp, Expr, UnaryOp};
 use hgf_ir::{Circuit, PortDir, SignalKind, Stmt};
 
-use crate::compile::{plan_partition, CodeRange, Partition, Program};
+use crate::compile::{CodeRange, Program};
 use crate::control::{HierNode, SimError};
 
 /// Compiled expression with signal references resolved to indices.
@@ -159,8 +160,7 @@ pub(crate) struct CompiledDef {
 ///
 /// Public so analysis tooling (the `hgdb-lint` crate's netlist-level
 /// checks) can build and query the same def graph the simulator runs;
-/// the compiled internals (bytecode, partition plan, fan-out graph)
-/// stay crate-private.
+/// the compiled internals (bytecode, fan-out graph) stay crate-private.
 #[derive(Debug, Clone)]
 pub struct FlatNetlist {
     pub(crate) names: Vec<String>,
@@ -168,11 +168,8 @@ pub struct FlatNetlist {
     pub(crate) widths: Vec<u32>,
     /// Shared bytecode for all compiled expressions.
     pub(crate) program: Program,
-    /// Combinational definitions in topological order (region-major,
-    /// level-sorted within each region — see [`Partition`]).
+    /// Combinational definitions in Kahn's topological order.
     pub(crate) defs: Vec<CompiledDef>,
-    /// Region/level plan over `defs` for the parallel sweep.
-    pub(crate) partition: Partition,
     pub(crate) regs: Vec<FlatReg>,
     pub(crate) mems: Vec<MemState>,
     /// Memory path → index (mirrors `index` for the signal namespace).
@@ -280,13 +277,8 @@ impl FlatNetlist {
             return Err(SimError::CombinationalLoop(cycle));
         }
 
-        // Regroup the topo order region-major with level sorting inside
-        // each region — still a valid topological order — so the
-        // parallel sweep can hand contiguous def ranges to workers.
-        let (order, partition) = plan_partition(&preds, &order);
-
-        // Lower every expression to bytecode, defs in final order, and
-        // record each def's direct fan-in for the fan-out graph.
+        // Lower every expression to bytecode, defs in topological order,
+        // and record each def's direct fan-in for the fan-out graph.
         let mut program = Program::default();
         let mut defs = Vec::with_capacity(n);
         let mut sig_fanout: Vec<Vec<u32>> = vec![Vec::new(); b.names.len()];
@@ -343,7 +335,6 @@ impl FlatNetlist {
             widths: b.widths,
             program,
             defs,
-            partition,
             regs,
             mems: b.mems,
             mem_index: b.mem_index,

@@ -1,26 +1,15 @@
-//! Cross-cutting property tests for the parallel engine.
-//!
-//! Two families, complementing the bytecode-vs-treewalk proptest in
-//! [`crate::compile`]:
-//!
-//! 1. **Partitioner invariants** over random DAGs: the region split is
-//!    a true partition (every def in exactly one contiguous region, no
-//!    combinational edge crossing a region boundary), levels strictly
-//!    increase along edges, and the reordered def sequence remains a
-//!    valid topological order. A reference connected-components count
-//!    cross-checks the region count.
-//! 2. **Parallel-vs-sequential equivalence** over random netlists:
-//!    circuits with several independent signal groups, registers, and
-//!    a memory are driven with identical stimulus under `workers = 1`
-//!    and a forced multi-worker schedule (`min_parallel_work = 1`);
-//!    every signal value at every cycle, the final memory contents,
-//!    and the `defs_evaluated` counter must match bit for bit.
+//! Cross-cutting property tests for the simulator over random
+//! netlists, complementing the bytecode-vs-treewalk proptest in
+//! [`crate::compile`]: the four-state engine collapses to the two-state
+//! one on fully-driven designs, a mid-run snapshot replays
+//! bit-identically in a fresh simulator, and the def order is
+//! topological when dependencies are read back from the bytecode.
 
 use bits::Bits;
 use hgf::{CircuitBuilder, Signal};
 use proptest::prelude::*;
 
-use crate::compile::{plan_partition, Op};
+use crate::compile::Op;
 use crate::netlist::FlatNetlist;
 use crate::{SimConfig, SimControl, Simulator};
 
@@ -45,119 +34,15 @@ impl Rng {
     }
 }
 
-/// Random DAG over `n` defs: edges only point from lower to higher
-/// index, so `0..n` is already a topological order.
-fn arb_dag(rng: &mut Rng) -> Vec<Vec<usize>> {
-    let n = 1 + rng.below(40) as usize;
-    let edge_pct = 5 + rng.below(25);
-    (0..n)
-        .map(|d| {
-            let mut ps: Vec<usize> = (0..d).filter(|_| rng.chance(edge_pct)).collect();
-            ps.dedup();
-            ps
-        })
-        .collect()
-}
-
-/// Reference weakly-connected-component count via union-find-free DFS.
-fn component_count(preds: &[Vec<usize>]) -> usize {
-    let n = preds.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (d, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            adj[d].push(p);
-            adj[p].push(d);
-        }
-    }
-    let mut seen = vec![false; n];
-    let mut components = 0;
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        components += 1;
-        seen[start] = true;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push(w);
-                }
-            }
-        }
-    }
-    components
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The partitioner must produce a true partition of the def graph
-    /// with a level schedule that respects every edge.
-    #[test]
-    fn partition_invariants_hold_on_random_dags(seed in any::<u64>()) {
-        let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1);
-        let preds = arb_dag(&mut rng);
-        let n = preds.len();
-        let topo: Vec<usize> = (0..n).collect();
-        let (order, p) = plan_partition(&preds, &topo);
-
-        // The final order is a permutation of 0..n.
-        let mut pos = vec![usize::MAX; n];
-        for (i, &d) in order.iter().enumerate() {
-            prop_assert_eq!(pos[d], usize::MAX, "def {} appears twice", d);
-            pos[d] = i;
-        }
-        prop_assert_eq!(p.region_of.len(), n);
-        prop_assert_eq!(p.level_of.len(), n);
-
-        // Regions tile 0..n contiguously: every def in exactly one.
-        prop_assert_eq!(component_count(&preds), p.regions.len());
-        let mut expected_start = 0u32;
-        for (r, region) in p.regions.iter().enumerate() {
-            prop_assert_eq!(region.start, expected_start, "gap before region {}", r);
-            prop_assert!(region.end > region.start, "empty region {}", r);
-            expected_start = region.end;
-            for i in region.start..region.end {
-                prop_assert_eq!(p.region_of[i as usize] as usize, r);
-            }
-            // Level ranges tile the region; levels match level_of.
-            let starts = &region.level_starts;
-            prop_assert_eq!(starts[0], 0);
-            prop_assert_eq!(*starts.last().unwrap(), region.end - region.start);
-            for lvl in 0..region.level_count() {
-                prop_assert!(starts[lvl] < starts[lvl + 1], "empty level {}", lvl);
-                for off in starts[lvl]..starts[lvl + 1] {
-                    prop_assert_eq!(p.level_of[(region.start + off) as usize] as usize, lvl);
-                }
-            }
-        }
-        prop_assert_eq!(expected_start as usize, n, "regions must cover all defs");
-
-        // Every edge stays inside one region, climbs strictly in
-        // level, and is respected by the final order.
-        for (d, ps) in preds.iter().enumerate() {
-            for &pr in ps {
-                prop_assert!(pos[pr] < pos[d], "order breaks edge {} -> {}", pr, d);
-                prop_assert_eq!(p.region_of[pos[pr]], p.region_of[pos[d]]);
-                prop_assert!(p.level_of[pos[pr]] < p.level_of[pos[d]]);
-            }
-        }
-    }
-}
-
 /// Width shared by all generated signals (keeps every handle
 /// combinable with every other and still exercises multi-bit values).
 const GEN_WIDTH: u32 = 24;
 const GEN_MASK: u64 = (1 << GEN_WIDTH) - 1;
 
 /// Builds a random circuit: `groups` independent combinational
-/// clusters over disjoint input sets (so the partitioner sees multiple
-/// regions), registers whose next-values may read any cluster, and a
-/// memory with a combinational read and a synchronous write port.
-/// Returns the input paths to drive.
+/// clusters over disjoint input sets, registers whose next-values may
+/// read any cluster, and a memory with a combinational read and a
+/// synchronous write port. Returns the input paths to drive.
 fn build_random_circuit(rng: &mut Rng) -> (hgf_ir::CircuitState, Vec<String>) {
     let groups = 1 + rng.below(4) as usize;
     let nodes_per_group = 2 + rng.below(8) as usize;
@@ -189,7 +74,7 @@ fn build_random_circuit(rng: &mut Rng) -> (hgf_ir::CircuitState, Vec<String>) {
                 pools.push(vec![sig]);
             }
             // Stable pool: register outputs, readable by any group
-            // without merging regions (registers are not defs).
+            // (registers are not defs).
             let mut regs = Vec::new();
             for r in 0..nregs {
                 let init = draw() & GEN_MASK;
@@ -260,89 +145,32 @@ fn build_random_circuit(rng: &mut Rng) -> (hgf_ir::CircuitState, Vec<String>) {
     build(&script)
 }
 
-/// A simulator over the random circuit with the sharded schedules
-/// forced on every sweep, however small — maximum pressure on the
-/// race-freedom argument. `workers = 1` is the exact sequential path.
-fn sim_with(state: &hgf_ir::CircuitState, workers: usize) -> Simulator {
-    sim_with_mode(state, workers, false)
-}
-
-/// Like [`sim_with`], optionally in four-state mode.
-fn sim_with_mode(state: &hgf_ir::CircuitState, workers: usize, four_state: bool) -> Simulator {
-    Simulator::with_config(
-        &state.circuit,
-        SimConfig {
-            workers,
-            min_parallel_work: 1,
-            four_state,
-        },
-    )
-    .unwrap()
+/// A simulator over the random circuit, optionally in four-state mode.
+fn sim_with_mode(state: &hgf_ir::CircuitState, four_state: bool) -> Simulator {
+    let config = if four_state {
+        SimConfig::default().four_state()
+    } else {
+        SimConfig::default()
+    };
+    Simulator::with_config(&state.circuit, config).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A multi-worker simulator must be bit-identical to the
-    /// sequential engine: same signals every cycle, same memory
-    /// contents, same `defs_evaluated` counter.
-    #[test]
-    fn parallel_equals_sequential_on_random_netlists(seed in any::<u64>()) {
-        let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
-        let (state, inputs) = build_random_circuit(&mut rng);
-        let mut seq = sim_with(&state, 1);
-        let mut par = sim_with(&state, 2 + rng.below(3) as usize);
-        let paths = seq.signal_paths();
-        prop_assert!(par.workers() > 1);
-
-        seq.reset(2);
-        par.reset(2);
-        for cycle in 0..12u64 {
-            for (i, path) in inputs.iter().enumerate() {
-                let v = Bits::from_u64(rng.next() & GEN_MASK, GEN_WIDTH);
-                seq.poke(path, v.clone()).unwrap();
-                par.poke(path, v).unwrap();
-                let _ = i;
-            }
-            seq.step_clock();
-            par.step_clock();
-            for path in &paths {
-                prop_assert_eq!(
-                    seq.peek(path).unwrap(),
-                    par.peek(path).unwrap(),
-                    "cycle {} signal {} diverged (seed {})",
-                    cycle,
-                    path,
-                    seed
-                );
-            }
-        }
-        prop_assert_eq!(seq.defs_evaluated(), par.defs_evaluated(),
-            "eval counters diverged (seed {})", seed);
-        for addr in 0..16 {
-            prop_assert_eq!(
-                seq.peek_mem("rand.m0", addr),
-                par.peek_mem("rand.m0", addr),
-                "memory word {} diverged (seed {})", addr, seed
-            );
-        }
-    }
-
     /// On a fully-driven, fully-reset design, four-state evaluation is
     /// two-state evaluation: every random netlist here has all
     /// registers in the reset tree and all inputs poked every cycle,
     /// so after reset the unknown planes must be identically zero and
-    /// every value bit-identical to the two-state engine — under the
-    /// sequential schedule and the forced-parallel one (workers = 4).
+    /// every value bit-identical to the two-state engine.
     #[test]
     fn four_state_collapses_to_two_state_when_fully_driven(seed in any::<u64>()) {
         let mut rng = Rng(seed.wrapping_mul(0x6a09_e667_f3bc_c909) | 1);
         let (state, inputs) = build_random_circuit(&mut rng);
-        let mut two = sim_with(&state, 1);
-        let mut four_seq = sim_with_mode(&state, 1, true);
-        let mut four_par = sim_with_mode(&state, 4, true);
+        let mut two = sim_with_mode(&state, false);
+        let mut four = sim_with_mode(&state, true);
         let paths = two.signal_paths();
-        for sim in [&mut two, &mut four_seq, &mut four_par] {
+        for sim in [&mut two, &mut four] {
             sim.reset(2);
         }
         for cycle in 0..12u64 {
@@ -350,7 +178,7 @@ proptest! {
                 .iter()
                 .map(|_| Bits::from_u64(rng.next() & GEN_MASK, GEN_WIDTH))
                 .collect();
-            for sim in [&mut two, &mut four_seq, &mut four_par] {
+            for sim in [&mut two, &mut four] {
                 for (path, v) in inputs.iter().zip(&stim) {
                     sim.poke(path, v.clone()).unwrap();
                 }
@@ -358,37 +186,30 @@ proptest! {
             }
             for path in &paths {
                 let expected = two.peek(path).unwrap();
-                for (name, sim) in [("seq", &four_seq), ("par", &four_par)] {
-                    let got = sim.peek4(path).unwrap();
-                    prop_assert!(
-                        got.unknown().is_zero(),
-                        "cycle {} {} still unknown in four-state/{} (seed {})",
-                        cycle, path, name, seed
-                    );
-                    prop_assert_eq!(
-                        got.value(), &expected,
-                        "cycle {} {} diverged in four-state/{} (seed {})",
-                        cycle, path, name, seed
-                    );
-                }
+                let got = four.peek4(path).unwrap();
+                prop_assert!(
+                    got.unknown().is_zero(),
+                    "cycle {} {} still unknown in four-state (seed {})",
+                    cycle, path, seed
+                );
+                prop_assert_eq!(
+                    got.value(), &expected,
+                    "cycle {} {} diverged in four-state (seed {})",
+                    cycle, path, seed
+                );
             }
         }
-        // Within the four-state mode, worker count must not change the
-        // set of defs visited. (The counter is not comparable across
-        // modes: the all-X power-up makes the first reset commit mark
-        // fan-out the two-state engine never sees.)
-        prop_assert_eq!(four_seq.defs_evaluated(), four_par.defs_evaluated());
     }
 
-    /// A mid-run snapshot restored into an engine of *any* worker
-    /// count (workers ∈ {1, 4}) and replayed under identical stimulus
-    /// must be bit-identical to the uninterrupted run: every signal
-    /// every cycle, final memory contents, and the eval counter.
+    /// A mid-run snapshot restored into a freshly built simulator and
+    /// replayed under identical stimulus must be bit-identical to the
+    /// uninterrupted run: every signal every cycle, final memory
+    /// contents, and the eval counter.
     #[test]
     fn snapshot_roundtrip_equivalent_on_random_netlists(seed in any::<u64>()) {
         let mut rng = Rng(seed.wrapping_mul(0x9e6c_7f4a_b958_2d31) | 1);
         let (state, inputs) = build_random_circuit(&mut rng);
-        let mut clean = sim_with(&state, 1);
+        let mut clean = sim_with_mode(&state, false);
         let paths = clean.signal_paths();
         // Pre-draw the stimulus so every replay pokes identical values.
         let cycles = 12usize;
@@ -422,79 +243,58 @@ proptest! {
         }
         let snap = snap.unwrap();
         let clean_evals = clean.defs_evaluated();
-        // Restore into engines with workers ∈ {1, 4} and replay.
-        for workers in [1usize, 4] {
-            let mut replay = sim_with(&state, workers);
-            replay.restore(&snap).unwrap();
-            prop_assert_eq!(replay.time(), snap.time());
-            for (k, t) in (snap_at..cycles).enumerate() {
-                drive(&mut replay, t);
-                for (p, expect) in paths.iter().zip(&tail_frames[k]) {
-                    prop_assert_eq!(
-                        &replay.peek(p).unwrap(), expect,
-                        "cycle {} signal {} diverged after restore (workers {}, seed {})",
-                        t, p, workers, seed
-                    );
-                }
-            }
-            prop_assert_eq!(replay.defs_evaluated(), clean_evals,
-                "eval counters diverged after restore (workers {}, seed {})", workers, seed);
-            for addr in 0..16 {
+        // Restore into a freshly built simulator and replay.
+        let mut replay = sim_with_mode(&state, false);
+        replay.restore(&snap).unwrap();
+        prop_assert_eq!(replay.time(), snap.time());
+        for (k, t) in (snap_at..cycles).enumerate() {
+            drive(&mut replay, t);
+            for (p, expect) in paths.iter().zip(&tail_frames[k]) {
                 prop_assert_eq!(
-                    replay.peek_mem("rand.m0", addr),
-                    clean.peek_mem("rand.m0", addr),
-                    "memory word {} diverged after restore (workers {}, seed {})",
-                    addr, workers, seed
+                    &replay.peek(p).unwrap(), expect,
+                    "cycle {} signal {} diverged after restore (seed {})",
+                    t, p, seed
                 );
             }
         }
+        prop_assert_eq!(replay.defs_evaluated(), clean_evals,
+            "eval counters diverged after restore (seed {})", seed);
+        for addr in 0..16 {
+            prop_assert_eq!(
+                replay.peek_mem("rand.m0", addr),
+                clean.peek_mem("rand.m0", addr),
+                "memory word {} diverged after restore (seed {})",
+                addr, seed
+            );
+        }
     }
 
-    /// The netlist-level partition must show no cross-region
-    /// combinational edge when dependencies are recovered straight
-    /// from the compiled bytecode (`Op::Sig` scans), independently of
-    /// the `CExpr::deps` walk `plan_partition` consumed.
+    /// Every signal a def reads, recovered straight from the compiled
+    /// bytecode (`Op::Sig` scans) rather than the `CExpr::deps` walk
+    /// the topological sort consumed, is an input, a register or the
+    /// output of an earlier def: one forward sweep reaches the
+    /// zero-delay fixpoint.
     #[test]
-    fn netlist_partition_has_no_cross_region_bytecode_edges(seed in any::<u64>()) {
+    fn defs_read_only_inputs_registers_or_earlier_defs(seed in any::<u64>()) {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-        let groups = 1 + rng.below(4) as usize;
-        let mut cb = CircuitBuilder::new();
-        cb.module("pz", |m| {
-            for g in 0..groups {
-                let a = m.input(format!("a{g}"), 8);
-                let o = m.output(format!("o{g}"), 8);
-                let mut cur = a;
-                let chain = 1 + rng.below(5) as usize;
-                for c in 0..chain {
-                    cur = m.node(format!("g{g}c{c}"), &cur + &m.lit(c as u64 + 1, 8));
-                }
-                m.assign(&o, cur);
-            }
-        });
-        let circuit = cb.finish("pz").unwrap();
-        let mut state = hgf_ir::CircuitState::new(circuit);
-        hgf_ir::passes::compile(&mut state, false).unwrap();
+        let (state, _) = build_random_circuit(&mut rng);
         let nl = FlatNetlist::build(&state.circuit).unwrap();
 
-        // sig -> defining def index, straight from the final def list.
+        // sig -> defining def index, straight from the def list.
         let mut def_of = vec![usize::MAX; nl.names.len()];
         for (di, def) in nl.defs.iter().enumerate() {
             prop_assert_eq!(def_of[def.sig], usize::MAX, "double-driven signal");
             def_of[def.sig] = di;
         }
-        let p = &nl.partition;
-        prop_assert_eq!(p.region_of.len(), nl.defs.len());
         for (di, def) in nl.defs.iter().enumerate() {
             for pc in def.code.0..def.code.1 {
                 if let Op::Sig(s) = nl.program.ops[pc as usize] {
-                    let src = def_of[s as usize];
-                    if src == usize::MAX {
-                        continue; // input/register/stable slot
-                    }
-                    prop_assert!(src < di, "def order breaks dependency");
-                    prop_assert_eq!(p.region_of[src], p.region_of[di],
-                        "combinational edge crosses regions (seed {})", seed);
-                    prop_assert!(p.level_of[src] < p.level_of[di]);
+                    let s = s as usize;
+                    prop_assert!(
+                        nl.is_input[s] || nl.is_reg[s] || def_of[s] < di,
+                        "def {} reads {} before it is defined (seed {})",
+                        di, nl.names[s], seed
+                    );
                 }
             }
         }

@@ -24,16 +24,54 @@
 //! string-keyed entry points remain for interactive use.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use bits::{Bits, Bits4};
 use hgf_ir::Circuit;
 
-use crate::compile::{exec, exec4, Planes, ValueSource4};
+use crate::compile::{exec, exec4, Planes};
 use crate::control::{HierNode, SignalId, SimControl, SimError};
 use crate::netlist::{FlatNetlist, FlatReg, MemState};
-use crate::parallel::{RaceSlice, SimConfig, WorkerPool, MAX_WORKERS, PARALLEL_LATCH_OPS};
+
+/// Evaluation-engine configuration for [`Simulator`].
+///
+/// ```
+/// use rtl_sim::SimConfig;
+///
+/// let cfg = SimConfig::default().four_state();
+/// assert!(cfg.four_state);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SimConfig {
+    /// Always 1: the simulator has one sequential sweep and no engine
+    /// code reads this field. It remains only because the `hgdb-bench`
+    /// benchmark prints it among the defaults in force.
+    pub workers: usize,
+    /// Four-state (X/Z) evaluation. When `false` (the default) the
+    /// simulator runs the exact two-state engine — no unknown planes
+    /// are allocated and the hot path is untouched. When `true`, every
+    /// signal carries a value/unknown plane pair: registers power up
+    /// all-X until reset resolves them, inputs read X until first
+    /// poked, and undriven nets stay X forever.
+    pub four_state: bool,
+}
+
+impl SimConfig {
+    /// Returns `self` with four-state (X/Z) evaluation enabled.
+    pub fn four_state(mut self) -> SimConfig {
+        self.four_state = true;
+        self
+    }
+}
+
+impl Default for SimConfig {
+    /// The two-state engine.
+    fn default() -> SimConfig {
+        SimConfig {
+            workers: 1,
+            four_state: false,
+        }
+    }
+}
 
 /// Identifier for a registered clock callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,19 +177,14 @@ pub struct Simulator {
     pending_regs: Vec<(usize, Bits)>,
     pending_mems: Vec<(usize, usize, Bits)>,
     /// Four-state twins of the pending buffers; used instead of the
-    /// two-state pair when `config.four_state` is set.
+    /// two-state pair when `four_state` is set.
     pending_regs4: Vec<(usize, Bits4)>,
     pending_mems4: Vec<(usize, usize, Bits4)>,
     started: bool,
     callbacks: Vec<(CallbackId, ClockCallback)>,
     next_callback: usize,
-    /// Engine configuration (worker count, parallel thresholds).
-    config: SimConfig,
-    /// Worker pool; present only when `config.workers > 1`.
-    pool: Option<WorkerPool>,
-    /// Total bytecode length of all register next-value and write-port
-    /// expressions — the work estimate gating the parallel latch path.
-    latch_ops: usize,
+    /// Whether this simulator runs the four-state engine.
+    four_state: bool,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -177,20 +210,13 @@ impl Simulator {
     }
 
     /// Compiles a Low-form circuit with an explicit engine
-    /// configuration. `config.workers = 1` selects the exact
-    /// single-threaded engine; higher counts spawn a persistent worker
-    /// pool that shards large combinational sweeps and register
-    /// latches, with results bit-identical to the sequential path.
+    /// configuration (two- or four-state).
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on validation failures or combinational
     /// loops.
     pub fn with_config(circuit: &Circuit, config: SimConfig) -> Result<Simulator, SimError> {
-        let config = SimConfig {
-            workers: config.workers.clamp(1, MAX_WORKERS),
-            ..config
-        };
         let netlist = FlatNetlist::build(circuit)?;
         let four = config.four_state;
         // Four-state power-up: every signal all-X (X-normal form keeps
@@ -217,20 +243,6 @@ impl Simulator {
             Vec::new()
         };
         let n_defs = netlist.defs.len();
-        let code_len = |c: crate::compile::CodeRange| (c.1 - c.0) as usize;
-        let latch_ops = netlist
-            .regs
-            .iter()
-            .filter_map(|r| r.next)
-            .map(code_len)
-            .sum::<usize>()
-            + netlist
-                .writes
-                .iter()
-                .map(|w| code_len(w.en) + code_len(w.addr) + code_len(w.data))
-                .sum::<usize>();
-        let pool = (config.workers > 1)
-            .then(|| WorkerPool::new(config.workers - 1, netlist.program.max_stack));
         let sim = Simulator {
             mems: RefCell::new(netlist.mems.clone()),
             values: RefCell::new(values),
@@ -258,9 +270,7 @@ impl Simulator {
             started: false,
             callbacks: Vec::new(),
             next_callback: 0,
-            config,
-            pool,
-            latch_ops,
+            four_state: four,
         };
         // Registers start at their reset value when they have one — in
         // two-state mode only. The four-state engine powers registers
@@ -334,7 +344,7 @@ impl Simulator {
 
     /// Whether this simulator runs the four-state (X/Z) engine.
     pub fn is_four_state(&self) -> bool {
-        self.config.four_state
+        self.four_state
     }
 
     /// Sets a top-level input port by full path (e.g. `top.data0`).
@@ -554,32 +564,21 @@ impl Simulator {
         self.evals.get()
     }
 
-    /// Runs the incremental levelized sweep to the zero-delay
-    /// fixpoint. Small sweeps (and every sweep at `workers = 1`) take
-    /// the sequential path; sweeps with at least
-    /// `config.min_parallel_work` dirty defs are sharded across the
-    /// worker pool, with bit-identical results.
+    /// Runs the incremental sweep to the zero-delay fixpoint, in the
+    /// two- or four-state engine.
     fn eval_if_dirty(&self) {
-        let count = self.dirty.borrow().count;
-        if count == 0 {
+        if self.dirty.borrow().count == 0 {
             return;
         }
         if self.is_four_state() {
-            match &self.pool {
-                Some(pool) if count >= self.config.min_parallel_work => self.eval4_parallel(pool),
-                _ => self.eval4_sequential(),
-            }
-            return;
-        }
-        match &self.pool {
-            Some(pool) if count >= self.config.min_parallel_work => self.eval_parallel(pool),
-            _ => self.eval_sequential(),
+            self.eval4_sequential();
+        } else {
+            self.eval_sequential();
         }
     }
 
-    /// The single-threaded sweep: marked definitions execute in
-    /// topological order; a definition whose output is unchanged does
-    /// not wake its fan-out.
+    /// The sweep: marked definitions execute in topological order; a
+    /// definition whose output is unchanged does not wake its fan-out.
     fn eval_sequential(&self) {
         let mut dirty = self.dirty.borrow_mut();
         let mut values = self.values.borrow_mut();
@@ -656,319 +655,9 @@ impl Simulator {
         self.evals.set(evals);
     }
 
-    /// Four-state sharded sweep: region mode only. Workers claim whole
-    /// dirty regions (the same atomic-cursor schedule as the two-state
-    /// engine) and sweep each with a worker-local [`Bits4`] stack; with
-    /// fewer than two dirty regions the sweep falls back to the
-    /// sequential engine — the level-by-level schedule is not worth a
-    /// four-state twin for a diagnostic mode.
-    fn eval4_parallel(&self, pool: &WorkerPool) {
-        let nl = &self.netlist;
-        let regions = &nl.partition.regions;
-        let dirty_region_count = {
-            let dirty = self.dirty.borrow();
-            regions
-                .iter()
-                .filter(|region| {
-                    let lo = (region.start as usize).max(dirty.min);
-                    let hi = region.end as usize;
-                    lo < hi && dirty.flags[lo..hi].contains(&true)
-                })
-                .count()
-        };
-        if dirty_region_count < 2 {
-            self.eval4_sequential();
-            return;
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        let mut values = self.values.borrow_mut();
-        let mut unks = self.unks.borrow_mut();
-        let mems = self.mems.borrow();
-        let munks = self.munks.borrow();
-        let mut stack = self.stack.borrow_mut();
-        let n = nl.defs.len();
-        let mems_slice: &[MemState] = mems.as_slice();
-        let munks_slice: &[Vec<Bits>] = munks.as_slice();
-        let mut dirty_regions: Vec<u32> = Vec::new();
-        for (r, region) in regions.iter().enumerate() {
-            let lo = (region.start as usize).max(dirty.min);
-            let hi = region.end as usize;
-            if lo < hi && dirty.flags[lo..hi].contains(&true) {
-                dirty_regions.push(r as u32);
-            }
-        }
-        let evals = AtomicU64::new(0);
-        {
-            let d = &mut *dirty;
-            // SAFETY: same contract as the two-state region mode — a
-            // region's flag/value/unknown slots are touched only by
-            // the worker that claimed the region; cross-region reads
-            // hit stable slots; the pool barrier orders the rest.
-            let flags = unsafe { RaceSlice::new(&mut d.flags) };
-            let vals = unsafe { RaceSlice::new(values.as_mut_slice()) };
-            let unk_slots = unsafe { RaceSlice::new(unks.as_mut_slice()) };
-            let cursor = AtomicUsize::new(0);
-            let dirty_regions = &dirty_regions;
-            let max_stack = nl.program.max_stack;
-            pool.run(&mut stack, &|_stack: &mut Vec<Bits>| {
-                // The pool's scratch stacks hold two-state values;
-                // four-state sweeps carry their own.
-                let mut stack4: Vec<Bits4> = Vec::with_capacity(max_stack);
-                let src = RacePlanes {
-                    vals: &vals,
-                    unks: &unk_slots,
-                };
-                let mut local = 0u64;
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= dirty_regions.len() {
-                        break;
-                    }
-                    let region = &regions[dirty_regions[k] as usize];
-                    for di in region.start as usize..region.end as usize {
-                        // SAFETY: `di` is inside the claimed region.
-                        let flag = unsafe { flags.get_mut(di) };
-                        if !*flag {
-                            continue;
-                        }
-                        *flag = false;
-                        let def = &nl.defs[di];
-                        let new = exec4(
-                            &nl.program,
-                            def.code,
-                            &src,
-                            mems_slice,
-                            munks_slice,
-                            &mut stack4,
-                        );
-                        local += 1;
-                        // SAFETY: `def.sig` has a single driver — this
-                        // region's def `di`.
-                        let vslot = unsafe { vals.get_mut(def.sig) };
-                        let uslot = unsafe { unk_slots.get_mut(def.sig) };
-                        if *vslot != *new.value() || *uslot != *new.unknown() {
-                            *vslot = new.value().clone();
-                            *uslot = new.unknown().clone();
-                            for &f in &nl.sig_fanout[def.sig] {
-                                // SAFETY: fan-out shares the region.
-                                unsafe { *flags.get_mut(f as usize) = true };
-                            }
-                        }
-                    }
-                }
-                evals.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-        debug_assert!(dirty.flags.iter().all(|f| !f), "region sweep left defs");
-        dirty.count = 0;
-        dirty.min = n;
-        self.evals
-            .set(self.evals.get() + evals.load(Ordering::Relaxed));
-    }
-
-    /// The sharded sweep. Two schedules, chosen per sweep:
-    ///
-    /// * **Region mode** (≥ 2 dirty regions): workers claim whole
-    ///   regions through an atomic cursor and sweep each one exactly
-    ///   like the sequential engine. Sound because no combinational
-    ///   edge crosses a region boundary — a worker only reads slots
-    ///   its own region defines plus stable slots (inputs, registers,
-    ///   memories).
-    /// * **Level mode** (1 dirty region): the region is swept level by
-    ///   level; within a level workers claim individual defs. Sound
-    ///   because levels strictly increase along edges, so same-level
-    ///   defs never read each other's outputs; the pool barrier
-    ///   between levels orders cross-level access.
-    ///
-    /// Both schedules evaluate exactly the set of defs the sequential
-    /// sweep would (marking is commutative and change-pruning compares
-    /// against the same deterministic values), so `defs_evaluated` and
-    /// every signal value stay bit-identical for any worker count.
-    fn eval_parallel(&self, pool: &WorkerPool) {
-        let nl = &self.netlist;
-        let mut dirty = self.dirty.borrow_mut();
-        let mut values = self.values.borrow_mut();
-        let mems = self.mems.borrow();
-        let mut stack = self.stack.borrow_mut();
-        let n = nl.defs.len();
-        let regions = &nl.partition.regions;
-        let mems_slice: &[MemState] = mems.as_slice();
-
-        // Regions with at least one marked def (flags below `min` are
-        // clear by invariant, so each scan can start there).
-        let mut dirty_regions: Vec<u32> = Vec::new();
-        for (r, region) in regions.iter().enumerate() {
-            let lo = (region.start as usize).max(dirty.min);
-            let hi = region.end as usize;
-            if lo < hi && dirty.flags[lo..hi].contains(&true) {
-                dirty_regions.push(r as u32);
-            }
-        }
-
-        let mut total_evals = 0u64;
-        if dirty_regions.len() >= 2 {
-            // Region mode.
-            let evals = AtomicU64::new(0);
-            {
-                let d = &mut *dirty;
-                // SAFETY: a region's flag and value slots are touched
-                // only by the single worker that claimed the region;
-                // cross-region reads hit stable slots only. The
-                // `pool.run` barrier orders everything afterwards.
-                let flags = unsafe { RaceSlice::new(&mut d.flags) };
-                let vals = unsafe { RaceSlice::new(values.as_mut_slice()) };
-                let cursor = AtomicUsize::new(0);
-                let dirty_regions = &dirty_regions;
-                pool.run(&mut stack, &|stack: &mut Vec<Bits>| {
-                    let mut local = 0u64;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= dirty_regions.len() {
-                            break;
-                        }
-                        let region = &regions[dirty_regions[k] as usize];
-                        for di in region.start as usize..region.end as usize {
-                            // SAFETY: `di` is inside the claimed region.
-                            let flag = unsafe { flags.get_mut(di) };
-                            if !*flag {
-                                continue;
-                            }
-                            *flag = false;
-                            let def = &nl.defs[di];
-                            let new = exec(&nl.program, def.code, &vals, mems_slice, stack);
-                            local += 1;
-                            // SAFETY: `def.sig` has a single driver —
-                            // this region's def `di`.
-                            let slot = unsafe { vals.get_mut(def.sig) };
-                            if *slot != new {
-                                *slot = new;
-                                for &f in &nl.sig_fanout[def.sig] {
-                                    // Fan-out defs share the region
-                                    // (same weak component) and sit
-                                    // later in it, so the forward scan
-                                    // reaches them this pass.
-                                    // SAFETY: in the claimed region.
-                                    unsafe { *flags.get_mut(f as usize) = true };
-                                }
-                            }
-                        }
-                    }
-                    evals.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-            total_evals = evals.load(Ordering::Relaxed);
-            // Every dirty region was drained; marks raised mid-sweep
-            // were cleared by the same forward scan.
-            debug_assert!(dirty.flags.iter().all(|f| !f), "region sweep left defs");
-            dirty.count = 0;
-        } else {
-            // Level mode: the single dirty region.
-            debug_assert_eq!(dirty_regions.len(), 1, "dirty count said work exists");
-            let region = &regions[dirty_regions[0] as usize];
-            let mut worklist: Vec<u32> = Vec::new();
-            for lvl in 0..region.level_count() {
-                let d = &mut *dirty;
-                if d.count == 0 {
-                    break;
-                }
-                let lo = region.start as usize + region.level_starts[lvl] as usize;
-                let hi = region.start as usize + region.level_starts[lvl + 1] as usize;
-                worklist.clear();
-                for di in lo..hi {
-                    if d.flags[di] {
-                        d.flags[di] = false;
-                        d.count -= 1;
-                        worklist.push(di as u32);
-                    }
-                }
-                if worklist.is_empty() {
-                    continue;
-                }
-                total_evals += worklist.len() as u64;
-                if worklist.len() == 1 {
-                    // A one-def level is cheaper inline than across a
-                    // barrier.
-                    let def = &nl.defs[worklist[0] as usize];
-                    let new = exec(
-                        &nl.program,
-                        def.code,
-                        values.as_slice(),
-                        mems_slice,
-                        &mut stack,
-                    );
-                    if values[def.sig] != new {
-                        values[def.sig] = new;
-                        for &f in &nl.sig_fanout[def.sig] {
-                            d.mark(f);
-                        }
-                    }
-                    continue;
-                }
-                let changed: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-                {
-                    // SAFETY: same-level defs never read each other's
-                    // outputs (levels strictly increase along edges)
-                    // and each def's target slot has a single driver,
-                    // so workers write disjoint slots and read only
-                    // slots stable for this level; the barrier orders
-                    // the next level's reads.
-                    let vals = unsafe { RaceSlice::new(values.as_mut_slice()) };
-                    let cursor = AtomicUsize::new(0);
-                    let worklist = &worklist;
-                    let changed = &changed;
-                    pool.run(&mut stack, &|stack: &mut Vec<Bits>| {
-                        let mut local: Vec<u32> = Vec::new();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            if k >= worklist.len() {
-                                break;
-                            }
-                            let di = worklist[k] as usize;
-                            let def = &nl.defs[di];
-                            let new = exec(&nl.program, def.code, &vals, mems_slice, stack);
-                            // SAFETY: single driver; same-level defs
-                            // never read this slot.
-                            let slot = unsafe { vals.get_mut(def.sig) };
-                            if *slot != new {
-                                *slot = new;
-                                local.push(di as u32);
-                            }
-                        }
-                        if !local.is_empty() {
-                            changed
-                                .lock()
-                                .expect("no poisoned sweeps")
-                                .append(&mut local);
-                        }
-                    });
-                }
-                // Wake fan-outs after the barrier; they all sit on
-                // strictly higher levels of this region. The set of
-                // marks is order-independent, so determinism holds.
-                for &di in changed.into_inner().expect("no poisoned sweeps").iter() {
-                    for &f in &nl.sig_fanout[nl.defs[di as usize].sig] {
-                        d.mark(f);
-                    }
-                }
-            }
-            debug_assert_eq!(dirty.count, 0, "level sweep left dirty defs behind");
-            dirty.count = 0;
-        }
-        dirty.min = n;
-        self.evals.set(self.evals.get() + total_evals);
-    }
-
     /// Latches register updates and memory writes from the current
     /// stable values (non-blocking semantics). Committed at the start
     /// of the next clock edge.
-    ///
-    /// With a worker pool and enough latched work (`latch_ops`), the
-    /// independent next-value/write-port evaluations are sharded
-    /// across the pool into index-addressed slots and drained in
-    /// declaration order — the same pending buffers, in the same
-    /// order, as the sequential path. The commit itself
-    /// ([`Simulator::commit_edge`]) always runs sequentially: that is
-    /// the barrier at register commit.
     fn latch_edge(&mut self) {
         self.eval_if_dirty();
         if self.is_four_state() {
@@ -982,8 +671,6 @@ impl Simulator {
             stack,
             pending_regs,
             pending_mems,
-            pool,
-            latch_ops,
             ..
         } = self;
         let values = values.borrow();
@@ -994,52 +681,6 @@ impl Simulator {
         pending_mems.clear();
         let vals: &[Bits] = values.as_slice();
         let mems_slice: &[MemState] = mems.as_slice();
-        let nregs = netlist.regs.len();
-        // Under reset, write ports are disabled (matching the
-        // sequential semantics below).
-        let nwrites = if reset { 0 } else { netlist.writes.len() };
-
-        if let Some(pool) = pool {
-            if nregs + nwrites >= 2 && *latch_ops >= PARALLEL_LATCH_OPS {
-                let mut reg_slots: Vec<Option<(usize, Bits)>> = vec![None; nregs];
-                let mut mem_slots: Vec<Option<(usize, usize, Bits)>> = vec![None; nwrites];
-                {
-                    // SAFETY: slot `k` is written only by the worker
-                    // that claimed task `k` off the cursor; the pool
-                    // barrier orders the drain below.
-                    let reg_out = unsafe { RaceSlice::new(&mut reg_slots) };
-                    let mem_out = unsafe { RaceSlice::new(&mut mem_slots) };
-                    let cursor = AtomicUsize::new(0);
-                    pool.run(&mut stack, &|stack: &mut Vec<Bits>| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= nregs + nwrites {
-                            break;
-                        }
-                        if k < nregs {
-                            let reg = &netlist.regs[k];
-                            let next = eval_reg_next(netlist, reg, reset, vals, mems_slice, stack);
-                            // SAFETY: task `k` owns slot `k`.
-                            unsafe { *reg_out.get_mut(k) = Some((reg.sig, next)) };
-                        } else {
-                            let w = &netlist.writes[k - nregs];
-                            if exec(&netlist.program, w.en, vals, mems_slice, stack).is_truthy() {
-                                let addr = exec(&netlist.program, w.addr, vals, mems_slice, stack)
-                                    .to_u64() as usize;
-                                let data = exec(&netlist.program, w.data, vals, mems_slice, stack);
-                                // SAFETY: task `k` owns slot `k - nregs`.
-                                unsafe { *mem_out.get_mut(k - nregs) = Some((w.mem, addr, data)) };
-                            }
-                        }
-                    });
-                }
-                // Drain in declaration order: bit-identical pending
-                // buffers to the sequential path.
-                pending_regs.extend(reg_slots.into_iter().flatten());
-                pending_mems.extend(mem_slots.into_iter().flatten());
-                return;
-            }
-        }
-
         for reg in &netlist.regs {
             let next = eval_reg_next(netlist, reg, reset, vals, mems_slice, &mut stack);
             pending_regs.push((reg.sig, next));
@@ -1056,9 +697,8 @@ impl Simulator {
         }
     }
 
-    /// Four-state twin of [`Simulator::latch_edge`] (always
-    /// sequential — the sharded latch path is a two-state throughput
-    /// optimization). Reset is three-valued here:
+    /// Four-state twin of [`Simulator::latch_edge`]. Reset is
+    /// three-valued here:
     ///
     /// * known true — registers with an init load it; write ports are
     ///   disabled (matching two-state).
@@ -1271,18 +911,6 @@ impl Simulator {
         &self.netlist.names[self.netlist.reset]
     }
 
-    /// The engine configuration this simulator was built with (worker
-    /// counts already clamped).
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Threads participating in parallel sweeps, including the caller.
-    /// `1` means the single-threaded engine.
-    pub fn workers(&self) -> usize {
-        self.config.workers
-    }
-
     /// Captures a deterministic full-state [`Snapshot`].
     ///
     /// Every bit of mutable simulation state is copied: signal values,
@@ -1294,9 +922,9 @@ impl Simulator {
     ///
     /// [`Simulator::restore`] of this snapshot followed by replaying
     /// the same stimulus is bit-identical to an uninterrupted run —
-    /// including the [`Simulator::defs_evaluated`] counter — at any
-    /// worker count, because the sweep is deterministic and the
-    /// snapshot preserves the exact dirty frontier.
+    /// including the [`Simulator::defs_evaluated`] counter — because
+    /// the sweep is deterministic and the snapshot preserves the exact
+    /// dirty frontier.
     pub fn snapshot(&self) -> Snapshot {
         let dirty = self.dirty.borrow();
         Snapshot {
@@ -1487,8 +1115,6 @@ impl std::fmt::Debug for Snapshot {
 
 /// Next value of one register at the edge: reset loads the init value
 /// when there is one; otherwise the compiled next expression (or hold).
-/// Shared by the sequential and sharded latch paths so their semantics
-/// cannot drift.
 fn eval_reg_next(
     netlist: &FlatNetlist,
     reg: &FlatReg,
@@ -1537,21 +1163,6 @@ fn eval_reg_next4(
     match reg.next {
         Some(code) => exec4(&netlist.program, code, values, mems, munks, stack),
         None => values.get4(reg.sig),
-    }
-}
-
-/// Plane-pair view over two [`RaceSlice`]s — the four-state region
-/// sweep's value source. Reads follow the same region-disjointness
-/// contract as the two-state `RaceSlice` source.
-struct RacePlanes<'a, 'b> {
-    vals: &'b RaceSlice<'a, Bits>,
-    unks: &'b RaceSlice<'a, Bits>,
-}
-
-impl ValueSource4 for RacePlanes<'_, '_> {
-    #[inline]
-    fn get4(&self, i: usize) -> Bits4 {
-        Bits4::from_planes(self.vals.get(i).clone(), self.unks.get(i).clone())
     }
 }
 
@@ -2055,8 +1666,7 @@ mod tests {
     }
 
     /// Circuit with several independent cones, a diamond, registers,
-    /// and a memory — exercises region mode, level mode, the parallel
-    /// latch, and ordered memory-write draining.
+    /// and a memory.
     fn mixed_design(cb: &mut CircuitBuilder) {
         cb.module("mixed", |m| {
             let a = m.input("a", 16);
@@ -2066,7 +1676,7 @@ mod tests {
             let y = m.output("y", 16);
             let z = m.output("z", 16);
             let w = m.output("w", 16);
-            // Cone A: a diamond (one region, three levels).
+            // Cone A: a diamond.
             let a1 = m.node("a1", a.clone() + m.lit(1, 16));
             let a2 = m.node("a2", a ^ m.lit(0x5A5A, 16));
             let a3 = m.node("a3", a1 & a2);
@@ -2090,69 +1700,9 @@ mod tests {
         });
     }
 
-    /// Drives a simulator through a fixed stimulus and collects every
-    /// signal value at each cycle plus the final eval counter.
-    fn trace(sim: &mut Simulator) -> (Vec<Vec<Bits>>, u64) {
-        let paths: Vec<String> = sim.signal_paths();
-        let mut frames = Vec::new();
-        sim.reset(2);
-        for t in 0..20u64 {
-            let stim = t.wrapping_mul(0x9E37_79B9).wrapping_add(t << 3);
-            sim.poke("mixed.a", Bits::from_u64(stim & 0xFFFF, 16))
-                .unwrap();
-            sim.poke("mixed.b", Bits::from_u64((stim >> 8) & 0xFFFF, 16))
-                .unwrap();
-            sim.poke("mixed.c", Bits::from_u64((stim >> 4) & 0xFFFF, 16))
-                .unwrap();
-            sim.step_clock();
-            frames.push(
-                paths
-                    .iter()
-                    .map(|p| sim.peek(p).unwrap())
-                    .collect::<Vec<_>>(),
-            );
-        }
-        (frames, sim.defs_evaluated())
-    }
-
     #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        let sequential = SimConfig {
-            workers: 1,
-            min_parallel_work: 1,
-            four_state: false,
-        };
-        // min_parallel_work = 1 forces the sharded schedules even on
-        // this small design; 3 workers exercises real concurrency.
-        let parallel = SimConfig {
-            workers: 3,
-            min_parallel_work: 1,
-            four_state: false,
-        };
-        let mut seq = build_with(mixed_design, "mixed", sequential);
-        let mut par = build_with(mixed_design, "mixed", parallel);
-        assert!(par.workers() == 3 && seq.workers() == 1);
-        let (seq_frames, seq_evals) = trace(&mut seq);
-        let (par_frames, par_evals) = trace(&mut par);
-        assert_eq!(seq_frames, par_frames, "signal divergence");
-        assert_eq!(seq_evals, par_evals, "eval-count divergence");
-        // Memory contents agree too.
-        for addr in 0..16 {
-            assert_eq!(
-                seq.peek_mem("mixed.scratch", addr),
-                par.peek_mem("mixed.scratch", addr)
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_latch_respects_reset_semantics() {
-        let config = SimConfig {
-            workers: 2,
-            min_parallel_work: 1,
-            four_state: false,
-        };
-        let mut sim = build_with(mixed_design, "mixed", config);
+    fn latch_respects_reset_semantics() {
+        let mut sim = build(mixed_design, "mixed");
         sim.poke("mixed.a", Bits::from_u64(5, 16)).unwrap();
         sim.run(3);
         sim.reset(2);
@@ -2170,21 +1720,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_workers_env_shapes_default_config() {
-        // Read-only check of the default path: with SIM_WORKERS unset
-        // or invalid the default is single-threaded. (Setting env vars
-        // in-process would race with parallel test threads; the parse
-        // helper is covered directly in `crate::parallel`.)
-        match std::env::var("SIM_WORKERS") {
-            Err(_) => assert_eq!(SimConfig::default().workers, 1),
-            Ok(v) => {
-                let expected = crate::parallel::parse_workers(&v).unwrap_or(1);
-                assert_eq!(SimConfig::default().workers, expected);
-            }
-        }
-    }
-
-    #[test]
     fn signal_paths_sorted() {
         let sim = counter_sim();
         let paths = sim.signal_paths();
@@ -2193,7 +1728,7 @@ mod tests {
         assert!(paths.iter().any(|p| p == "counter.reset"));
     }
 
-    /// The fixed stimulus `trace` uses, for one cycle.
+    /// A fixed stimulus for `mixed_design`, for cycle `t`.
     fn mixed_stimulus(sim: &mut Simulator, t: u64) {
         let stim = t.wrapping_mul(0x9E37_79B9).wrapping_add(t << 3);
         sim.poke("mixed.a", Bits::from_u64(stim & 0xFFFF, 16))
@@ -2242,49 +1777,6 @@ mod tests {
         assert_eq!(clean.0, replay.0, "signal divergence after restore");
         assert_eq!(clean.1, replay.1, "memory divergence after restore");
         assert_eq!(clean.2, replay.2, "eval-count divergence after restore");
-    }
-
-    #[test]
-    fn snapshot_restores_across_worker_counts() {
-        // A snapshot captured from the sequential engine replays
-        // bit-identically on a forced-parallel engine of the same
-        // circuit, and vice versa.
-        let mut seq = build_with(
-            mixed_design,
-            "mixed",
-            SimConfig {
-                workers: 1,
-                min_parallel_work: 1,
-                four_state: false,
-            },
-        );
-        let mut par = build_with(
-            mixed_design,
-            "mixed",
-            SimConfig {
-                workers: 3,
-                min_parallel_work: 1,
-                four_state: false,
-            },
-        );
-        let paths = seq.signal_paths();
-        seq.reset(2);
-        for t in 0..5u64 {
-            mixed_stimulus(&mut seq, t);
-            seq.step_clock();
-        }
-        let snap = seq.snapshot();
-        par.restore(&snap).unwrap();
-        for t in 5..15u64 {
-            mixed_stimulus(&mut seq, t);
-            seq.step_clock();
-            mixed_stimulus(&mut par, t);
-            par.step_clock();
-            for p in &paths {
-                assert_eq!(seq.peek(p).unwrap(), par.peek(p).unwrap(), "cycle {t} {p}");
-            }
-        }
-        assert_eq!(seq.defs_evaluated(), par.defs_evaluated());
     }
 
     #[test]
@@ -2344,19 +1836,9 @@ mod tests {
         }
     }
 
-    /// Four-state config with an explicit worker count and the sharded
-    /// schedules forced on.
-    fn four_state(workers: usize) -> SimConfig {
-        SimConfig {
-            workers,
-            min_parallel_work: 1,
-            four_state: true,
-        }
-    }
-
     #[test]
     fn four_state_registers_power_up_x_and_resolve_on_reset() {
-        let mut sim = build_with(counter_design, "counter", four_state(1));
+        let mut sim = build_with(counter_design, "counter", SimConfig::default().four_state());
         assert!(sim.is_four_state());
         // Power-up: the register (and everything fed by it) is all-X,
         // even though it has an init value — init loads under reset.
@@ -2397,7 +1879,7 @@ mod tests {
                 });
             },
             "adder",
-            four_state(1),
+            SimConfig::default().four_state(),
         );
         assert_eq!(sim.peek4("adder.a").unwrap(), Bits4::all_x(8));
         assert_eq!(sim.peek4("adder.out").unwrap(), Bits4::all_x(8));
@@ -2427,7 +1909,7 @@ mod tests {
                 });
             },
             "buggy",
-            four_state(1),
+            SimConfig::default().four_state(),
         );
         sim.reset(2);
         sim.run(3);
@@ -2466,7 +1948,7 @@ mod tests {
                 m.assign(&rdata, data);
             });
         };
-        let mut sim = build_with(ram, "ram", four_state(1));
+        let mut sim = build_with(ram, "ram", SimConfig::default().four_state());
         // Memories power up known-zero (documented simplification).
         assert_eq!(
             sim.peek_mem4("ram.mem", 5).unwrap(),
@@ -2500,46 +1982,8 @@ mod tests {
     }
 
     #[test]
-    fn four_state_parallel_matches_sequential_with_x_present() {
-        // Drive a and b, leave c all-X: the X cone (memory write port,
-        // w output) must propagate identically through the sequential
-        // and region-sharded four-state sweeps.
-        let mut seq = build_with(mixed_design, "mixed", four_state(1));
-        let mut par = build_with(mixed_design, "mixed", four_state(3));
-        let paths = seq.signal_paths();
-        seq.reset(2);
-        par.reset(2);
-        for t in 0..12u64 {
-            let stim = t.wrapping_mul(0x9E37_79B9).wrapping_add(t << 3);
-            for sim in [&mut seq, &mut par] {
-                sim.poke("mixed.a", Bits::from_u64(stim & 0xFFFF, 16))
-                    .unwrap();
-                sim.poke("mixed.b", Bits::from_u64((stim >> 8) & 0xFFFF, 16))
-                    .unwrap();
-                sim.step_clock();
-            }
-            for p in &paths {
-                assert_eq!(
-                    seq.peek4(p).unwrap(),
-                    par.peek4(p).unwrap(),
-                    "cycle {t} signal {p} diverged"
-                );
-            }
-        }
-        assert_eq!(seq.defs_evaluated(), par.defs_evaluated());
-        for addr in 0..16 {
-            assert_eq!(
-                seq.peek_mem4("mixed.scratch", addr),
-                par.peek_mem4("mixed.scratch", addr)
-            );
-        }
-        // c never resolved, so its X cone is still visible somewhere.
-        assert!(!seq.peek4("mixed.w").unwrap().is_fully_known());
-    }
-
-    #[test]
     fn four_state_snapshot_roundtrip_and_mode_mismatch() {
-        let mut sim = build_with(mixed_design, "mixed", four_state(1));
+        let mut sim = build_with(mixed_design, "mixed", SimConfig::default().four_state());
         sim.reset(2);
         sim.poke("mixed.a", Bits::from_u64(11, 16)).unwrap();
         sim.step_clock();

@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn four_state_dump_emits_x_then_resolves() {
-        let mut sim = counter_with(SimConfig::with_workers(1).four_state());
+        let mut sim = counter_with(SimConfig::default().four_state());
         let mut out = Vec::new();
         let mut rec = Recorder::new(&sim, &mut out).unwrap();
         // Cycle 1: nothing poked — registers and inputs dump as x.

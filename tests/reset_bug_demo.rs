@@ -71,8 +71,7 @@ fn lint_flags_the_unreset_register() {
 fn debugger_sees_x_resolve_over_the_wire() {
     let (state, table) = build_design();
     let symbols = symtab::from_debug_table(&state.circuit, &table).unwrap();
-    let sim =
-        Simulator::with_config(&state.circuit, SimConfig::with_workers(1).four_state()).unwrap();
+    let sim = Simulator::with_config(&state.circuit, SimConfig::default().four_state()).unwrap();
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let service = DebugService::spawn(Runtime::attach(sim, symbols).unwrap());

@@ -3,8 +3,10 @@
 //! bounded outbound queues with `Lagged` notifications.
 
 use hgdb::protocol::Request;
-use hgdb::{channel_pair, outbound_queue, serve, DebugClient, DebugService, Outbound, Runtime};
-use rtl_sim::Simulator;
+use hgdb::{
+    channel_pair, outbound_queue, serve, DebugClient, DebugService, Outbound, RunOutcome, Runtime,
+};
+use rtl_sim::{SimControl, Simulator};
 
 /// A saturating counter (stops at 100), like the other suites use.
 fn build_counter() -> (Simulator, symtab::SymbolTable, u32) {
@@ -190,6 +192,70 @@ fn watchpoints_stop_on_change_and_are_session_scoped() {
     a.detach().unwrap();
     b.detach().unwrap();
     let _ = service.shutdown();
+}
+
+/// `count` as read through `rt`'s `eval`.
+fn count_of<S: SimControl>(rt: &Runtime<S>) -> u64 {
+    rt.eval(Some("top"), "count")
+        .unwrap()
+        .to_known()
+        .expect("count is known")
+        .to_u64()
+}
+
+/// The `(old, new)` values of the single watchpoint hit `outcome`
+/// stopped on.
+fn watch_change(outcome: RunOutcome) -> (u64, u64) {
+    let RunOutcome::Stopped(event) = outcome else {
+        panic!("expected a watchpoint stop, got {outcome:?}");
+    };
+    assert_eq!(event.kind(), "watchpoint");
+    let hit = &event.watch_hits[0];
+    let known = |b: &bits::Bits4| b.to_known().expect("known").to_u64();
+    (known(&hit.old), known(&hit.new))
+}
+
+/// Steps and reverse steps do not stop on watchpoint changes, and they
+/// move the watch baselines with them: the next `continue` reports only
+/// the change across its own edge, not what changed during the steps.
+#[test]
+fn watch_baselines_follow_step_and_reverse_step() {
+    // Live backend: step to cycle 3, where count is 2, then continue.
+    let (sim, symbols, _) = build_counter();
+    let mut rt = Runtime::attach(sim, symbols).unwrap();
+    rt.insert_watchpoint(Some("top"), "count").unwrap();
+    while rt.time() < 3 {
+        rt.step(Some(10)).unwrap();
+    }
+    assert_eq!((rt.time(), count_of(&rt)), (3, 2));
+    assert_eq!(watch_change(rt.continue_run(Some(10)).unwrap()), (2, 3));
+
+    // Natively reversible backend: a recorded trace of the counter.
+    let (mut sim, symbols, _) = build_counter();
+    let mut vcd_text = Vec::new();
+    {
+        let mut rec = vcd::Recorder::new(&sim, &mut vcd_text).unwrap();
+        for _ in 0..30 {
+            sim.step_clock();
+            rec.sample(&sim).unwrap();
+        }
+        rec.finish().unwrap();
+    }
+    let trace = vcd::parse(std::str::from_utf8(&vcd_text).unwrap()).unwrap();
+    let mut rt = Runtime::attach(vcd::ReplaySim::new(trace), symbols).unwrap();
+    // The trace holds no values before its first sample.
+    while rt.eval(Some("top"), "count").is_err() {
+        rt.step(Some(10)).unwrap();
+    }
+    rt.insert_watchpoint(Some("top"), "count").unwrap();
+    while count_of(&rt) < 5 {
+        rt.step(Some(10)).unwrap();
+    }
+    while count_of(&rt) > 4 {
+        rt.reverse_step().unwrap();
+    }
+    assert_eq!(count_of(&rt), 4);
+    assert_eq!(watch_change(rt.continue_run(Some(10)).unwrap()), (4, 5));
 }
 
 /// Subscription filters suppress unrelated broadcasts: a session
