@@ -480,6 +480,28 @@ mod tests {
         );
     }
 
+    /// `loaded_sim_with` passes the configuration through, and no
+    /// engine code reads `SimConfig::workers`: the multiply workload
+    /// halts on the same cycle with the same tohost under 1 and 4.
+    #[test]
+    fn parallel_workers_reproduce_sequential_tohost() {
+        let core = compile_core(false);
+        let workload = rv32::programs::multiply();
+        let mut results = Vec::new();
+        for workers in [1, 4] {
+            let cfg = SimConfig {
+                workers,
+                ..SimConfig::default()
+            };
+            let mut sim = loaded_sim_with(&core, &workload, cfg);
+            let cycles = run_plain(&mut sim, &core.top, 200_000);
+            let tohost = sim.peek("cpu.tohost").expect("tohost").to_u64() as u32;
+            results.push((cycles, tohost));
+        }
+        assert_eq!(results[0], results[1], "worker count changed the run");
+        assert_eq!(results[0].1, workload.expected);
+    }
+
     #[test]
     fn dual_core_workload_runs() {
         let workload = rv32::programs::mt_vvadd();

@@ -7,7 +7,8 @@
 //! per-node boxing, no recursion, and (with the inline `Bits`
 //! representation) zero heap allocation for signals ≤ 64 bits wide.
 //! Mux keeps the tree-walker's lazy semantics through explicit branch
-//! instructions, so only the selected arm is evaluated.
+//! instructions, so only the selected arm is evaluated. [`topo_order`]
+//! fixes the order the sweep runs the compiled definitions in.
 
 use bits::{Bits, Bits4};
 use hgf_ir::expr::{apply_binary, apply_binary4, apply_unary4, BinaryOp, UnaryOp};
@@ -330,6 +331,47 @@ fn exec4_range(
         }
         pc += 1;
     }
+}
+
+/// Orders combinational defs for the sweep with Kahn's algorithm.
+///
+/// `preds[d]` lists the defs that def `d` reads, once per read.
+/// Returns an order in which every def follows all of its
+/// predecessors. When the def graph is cyclic it returns the residual
+/// in-degrees instead: nonzero exactly for the defs Kahn could not
+/// order, each of which sits on or downstream of a cycle.
+pub(crate) fn topo_order(preds: &[Vec<usize>]) -> Result<Vec<usize>, Vec<usize>> {
+    let n = preds.len();
+    let mut indegree: Vec<usize> = preds.iter().map(Vec::len).collect();
+    let dependents = dependents(preds);
+    let mut ready: Vec<usize> = (0..n).filter(|&d| indegree[d] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(d) = ready.pop() {
+        order.push(d);
+        for &next in &dependents[d] {
+            indegree[next] -= 1;
+            if indegree[next] == 0 {
+                ready.push(next);
+            }
+        }
+    }
+    if order.len() == n {
+        Ok(order)
+    } else {
+        Err(indegree)
+    }
+}
+
+/// Inverts a def graph: entry `p` of the result lists every def that
+/// reads def `p`, once per read, in ascending def order.
+pub(crate) fn dependents(preds: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let mut dependents = vec![Vec::new(); preds.len()];
+    for (d, ps) in preds.iter().enumerate() {
+        for &p in ps {
+            dependents[p].push(d);
+        }
+    }
+    dependents
 }
 
 #[cfg(test)]
@@ -692,5 +734,73 @@ mod tests {
             .expect("jump emitted");
         assert!(jump_target as usize == prog.ops.len());
         assert!(br_target < jump_target);
+    }
+
+    /// Asserts that `order` lists every def of `preds` exactly once,
+    /// each after all of its predecessors.
+    fn assert_topological(preds: &[Vec<usize>], order: &[usize]) {
+        assert_eq!(order.len(), preds.len(), "every def is ordered");
+        let mut pos = vec![usize::MAX; preds.len()];
+        for (i, &d) in order.iter().enumerate() {
+            assert_eq!(pos[d], usize::MAX, "def {d} ordered twice");
+            pos[d] = i;
+        }
+        for (d, ps) in preds.iter().enumerate() {
+            for &pr in ps {
+                assert!(pos[pr] < pos[d], "pred {pr} must precede {d}");
+            }
+        }
+    }
+
+    /// Two disjoint chains, 0 -> 1 -> 2 and 3 -> 4: each keeps its
+    /// dependency order wherever the other chain's defs land.
+    #[test]
+    fn partition_splits_independent_chains() {
+        let preds = vec![vec![], vec![0], vec![1], vec![], vec![3]];
+        let order = topo_order(&preds).unwrap();
+        assert_topological(&preds, &order);
+    }
+
+    /// Diamond: 0 feeds 1 and 2, and 3 reads both, one of them twice.
+    /// The source comes first, the sink last, and a repeated read
+    /// counts once per read on both sides of the in-degree bookkeeping.
+    #[test]
+    fn partition_diamond_is_one_region_with_levels() {
+        let preds = vec![vec![], vec![0], vec![0], vec![1, 2, 1]];
+        let order = topo_order(&preds).unwrap();
+        assert_topological(&preds, &order);
+        assert_eq!(order[0], 0);
+        assert_eq!(order[3], 3);
+        assert_eq!(
+            dependents(&preds),
+            vec![vec![1, 2], vec![3, 3], vec![3], vec![]]
+        );
+    }
+
+    /// Defs that read no other def are all ready at once; each is
+    /// ordered exactly once.
+    #[test]
+    fn partition_of_isolated_defs_is_all_singletons() {
+        let preds = vec![vec![], vec![], vec![]];
+        let mut order = topo_order(&preds).unwrap();
+        assert_topological(&preds, &order);
+        order.sort_unstable();
+        assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    /// Two chains joined at the tail are ordered topologically; closing
+    /// a cycle through one chain leaves no order, and the residual
+    /// in-degrees mark exactly the defs on that cycle.
+    #[test]
+    fn partition_final_order_is_topological() {
+        let mut preds = vec![vec![], vec![], vec![0], vec![1], vec![2, 3]];
+        let order = topo_order(&preds).unwrap();
+        assert_topological(&preds, &order);
+        // 0 now reads 4: the cycle is 0 -> 2 -> 4 -> 0, while 1 and 3
+        // only feed it.
+        preds[0].push(4);
+        let residual = topo_order(&preds).unwrap_err();
+        let unordered: Vec<usize> = (0..preds.len()).filter(|&d| residual[d] > 0).collect();
+        assert_eq!(unordered, vec![0, 2, 4]);
     }
 }

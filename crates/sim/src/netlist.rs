@@ -18,7 +18,7 @@ use bits::Bits;
 use hgf_ir::expr::{BinaryOp, Expr, UnaryOp};
 use hgf_ir::{Circuit, PortDir, SignalKind, Stmt};
 
-use crate::compile::{CodeRange, Program};
+use crate::compile::{dependents, topo_order, CodeRange, Program};
 use crate::control::{HierNode, SimError};
 
 /// Compiled expression with signal references resolved to indices.
@@ -232,7 +232,8 @@ impl FlatNetlist {
         }
         is_input[reset] = true;
 
-        // Topological sort of combinational defs (Kahn).
+        // Topological sort of combinational defs (Kahn) over the def
+        // graph: `preds[d]` lists the defs def `d` reads.
         let def_of: HashMap<usize, usize> = b
             .raw_defs
             .iter()
@@ -240,42 +241,29 @@ impl FlatNetlist {
             .map(|(di, (sig, _))| (*sig, di))
             .collect();
         let n = b.raw_defs.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (di, (_, expr)) in b.raw_defs.iter().enumerate() {
-            let mut deps = Vec::new();
-            expr.deps(&mut deps);
-            for d in deps {
-                if let Some(&src) = def_of.get(&d) {
-                    indegree[di] += 1;
-                    dependents[src].push(di);
-                    preds[di].push(src);
-                }
+        let preds: Vec<Vec<usize>> = b
+            .raw_defs
+            .iter()
+            .map(|(_, expr)| {
+                let mut deps = Vec::new();
+                expr.deps(&mut deps);
+                deps.iter().filter_map(|d| def_of.get(d).copied()).collect()
+            })
+            .collect();
+        let order = match topo_order(&preds) {
+            Ok(order) => order,
+            Err(residual) => {
+                // Kahn left a residual subgraph; every node in it sits
+                // on or downstream of a cycle. Report one *minimal*
+                // cycle — not the whole residue, which would implicate
+                // innocent downstream logic.
+                let cycle: Vec<String> = minimal_cycle(&residual, &preds)
+                    .into_iter()
+                    .map(|i| b.names[b.raw_defs[i].0].clone())
+                    .collect();
+                return Err(SimError::CombinationalLoop(cycle));
             }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(di) = queue.pop() {
-            order.push(di);
-            for &next in &dependents[di] {
-                indegree[next] -= 1;
-                if indegree[next] == 0 {
-                    queue.push(next);
-                }
-            }
-        }
-        if order.len() != n {
-            // Kahn left a residual subgraph; every node in it sits on
-            // or downstream of a cycle. Report one *minimal* cycle —
-            // not the whole residue, which would implicate innocent
-            // downstream logic.
-            let cycle: Vec<String> = minimal_cycle(&indegree, &preds, &dependents)
-                .into_iter()
-                .map(|i| b.names[b.raw_defs[i].0].clone())
-                .collect();
-            return Err(SimError::CombinationalLoop(cycle));
-        }
+        };
 
         // Lower every expression to bytecode, defs in topological order,
         // and record each def's direct fan-in for the fan-out graph.
@@ -379,8 +367,8 @@ impl FlatNetlist {
 
 /// Extracts one minimal combinational cycle from the residual def
 /// graph Kahn's algorithm could not order. `indegree` is the residual
-/// indegree (nonzero exactly for unordered defs); `preds`/`dependents`
-/// are the full def-graph adjacency.
+/// indegree [`topo_order`] returned (nonzero exactly for unordered
+/// defs); `preds` is the full def graph.
 ///
 /// Every residual def has at least one residual predecessor (edges
 /// from ordered defs were consumed), so walking predecessors must
@@ -388,12 +376,9 @@ impl FlatNetlist {
 /// dependent edges then finds the *shortest* cycle through it. The
 /// returned def-index path closes on itself (first element repeated
 /// at the end); a self-loop yields `[d, d]`.
-fn minimal_cycle(
-    indegree: &[usize],
-    preds: &[Vec<usize>],
-    dependents: &[Vec<usize>],
-) -> Vec<usize> {
+fn minimal_cycle(indegree: &[usize], preds: &[Vec<usize>]) -> Vec<usize> {
     let n = indegree.len();
+    let dependents = dependents(preds);
     let residual: Vec<bool> = indegree.iter().map(|&d| d > 0).collect();
     let start = (0..n).find(|&i| residual[i]).expect("residual def exists");
 

@@ -1,15 +1,22 @@
-//! Cross-cutting property tests for the simulator over random
-//! netlists, complementing the bytecode-vs-treewalk proptest in
-//! [`crate::compile`]: the four-state engine collapses to the two-state
-//! one on fully-driven designs, a mid-run snapshot replays
-//! bit-identically in a fresh simulator, and the def order is
-//! topological when dependencies are read back from the bytecode.
+//! Cross-cutting property tests for the simulator, complementing the
+//! bytecode-vs-treewalk proptest in [`crate::compile`]:
+//!
+//! 1. **Def order** over random DAGs: [`topo_order`] returns a
+//!    permutation that respects every edge, and on a cyclic graph its
+//!    residual in-degrees mark every def on the cycle and nothing
+//!    upstream of it.
+//! 2. **Engine equivalences** over random netlists: a simulator
+//!    configured with several `workers` is bit-identical to the default
+//!    one, the four-state engine collapses to the two-state one on
+//!    fully-driven designs, a mid-run snapshot replays bit-identically
+//!    in a fresh simulator, and the def order is topological when
+//!    dependencies are read back from the bytecode.
 
 use bits::Bits;
 use hgf::{CircuitBuilder, Signal};
 use proptest::prelude::*;
 
-use crate::compile::Op;
+use crate::compile::{topo_order, Op};
 use crate::netlist::FlatNetlist;
 use crate::{SimConfig, SimControl, Simulator};
 
@@ -31,6 +38,69 @@ impl Rng {
 
     fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
+    }
+}
+
+/// Random DAG over `n` defs with randomly permuted labels, so
+/// declaration order is rarely a topological order. Returns `preds`.
+fn arb_dag(rng: &mut Rng) -> Vec<Vec<usize>> {
+    let n = 1 + rng.below(40) as usize;
+    let edge_pct = 5 + rng.below(25);
+    let mut label: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        label.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    // Edges point from lower to higher rank; rank r is def label[r].
+    let mut preds = vec![Vec::new(); n];
+    for d in 0..n {
+        preds[label[d]] = (0..d)
+            .filter(|_| rng.chance(edge_pct))
+            .map(|p| label[p])
+            .collect();
+    }
+    preds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The def order is a permutation that respects every edge; once a
+    /// back edge closes a cycle there is no order, and the residual
+    /// in-degrees are nonzero on the cycle and zero on every def whose
+    /// predecessors are all ordered.
+    #[test]
+    fn partition_invariants_hold_on_random_dags(seed in any::<u64>()) {
+        let mut rng = Rng(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1);
+        let mut preds = arb_dag(&mut rng);
+        let n = preds.len();
+        let order = topo_order(&preds).unwrap();
+
+        prop_assert_eq!(order.len(), n);
+        let mut pos = vec![usize::MAX; n];
+        for (i, &d) in order.iter().enumerate() {
+            prop_assert_eq!(pos[d], usize::MAX, "def {} appears twice", d);
+            pos[d] = i;
+        }
+        for (d, ps) in preds.iter().enumerate() {
+            for &pr in ps {
+                prop_assert!(pos[pr] < pos[d], "order breaks edge {} -> {}", pr, d);
+            }
+        }
+
+        // Close a cycle: some def `d` with a predecessor `p` now also
+        // feeds `p`.
+        let Some(d) = (0..n).find(|&d| !preds[d].is_empty()) else {
+            return Ok(());
+        };
+        let p = preds[d][0];
+        preds[p].push(d);
+        let residual = topo_order(&preds).unwrap_err();
+        prop_assert!(residual[p] > 0 && residual[d] > 0, "cycle {} <-> {} ordered", p, d);
+        for (v, ps) in preds.iter().enumerate() {
+            if ps.iter().all(|&pr| residual[pr] == 0) {
+                prop_assert_eq!(residual[v], 0, "def {} has only ordered preds", v);
+            }
+        }
     }
 }
 
@@ -158,6 +228,55 @@ fn sim_with_mode(state: &hgf_ir::CircuitState, four_state: bool) -> Simulator {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// No engine code reads `SimConfig::workers`: a simulator
+    /// configured for several workers runs the same sweep and must be
+    /// bit-identical to the default one, with the same signals every
+    /// cycle, the same memory contents and the same `defs_evaluated`
+    /// counter.
+    #[test]
+    fn parallel_equals_sequential_on_random_netlists(seed in any::<u64>()) {
+        let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1);
+        let (state, inputs) = build_random_circuit(&mut rng);
+        let mut seq = sim_with_mode(&state, false);
+        let config = SimConfig {
+            workers: 2 + rng.below(3) as usize,
+            ..SimConfig::default()
+        };
+        let mut par = Simulator::with_config(&state.circuit, config).unwrap();
+        let paths = seq.signal_paths();
+
+        seq.reset(2);
+        par.reset(2);
+        for cycle in 0..12u64 {
+            for path in &inputs {
+                let v = Bits::from_u64(rng.next() & GEN_MASK, GEN_WIDTH);
+                seq.poke(path, v.clone()).unwrap();
+                par.poke(path, v).unwrap();
+            }
+            seq.step_clock();
+            par.step_clock();
+            for path in &paths {
+                prop_assert_eq!(
+                    seq.peek(path).unwrap(),
+                    par.peek(path).unwrap(),
+                    "cycle {} signal {} diverged (seed {})",
+                    cycle,
+                    path,
+                    seed
+                );
+            }
+        }
+        prop_assert_eq!(seq.defs_evaluated(), par.defs_evaluated(),
+            "eval counters diverged (seed {})", seed);
+        for addr in 0..16 {
+            prop_assert_eq!(
+                seq.peek_mem("rand.m0", addr),
+                par.peek_mem("rand.m0", addr),
+                "memory word {} diverged (seed {})", addr, seed
+            );
+        }
+    }
+
     /// On a fully-driven, fully-reset design, four-state evaluation is
     /// two-state evaluation: every random netlist here has all
     /// registers in the reset tree and all inputs poked every cycle,
@@ -269,13 +388,14 @@ proptest! {
         }
     }
 
-    /// Every signal a def reads, recovered straight from the compiled
-    /// bytecode (`Op::Sig` scans) rather than the `CExpr::deps` walk
-    /// the topological sort consumed, is an input, a register or the
-    /// output of an earlier def: one forward sweep reaches the
+    /// No bytecode edge points forward in the def list: every signal a
+    /// def reads, recovered straight from the compiled bytecode
+    /// (`Op::Sig` scans) rather than the `CExpr::deps` walk the
+    /// topological sort consumed, is an input, a register or the
+    /// output of an earlier def, so one forward sweep reaches the
     /// zero-delay fixpoint.
     #[test]
-    fn defs_read_only_inputs_registers_or_earlier_defs(seed in any::<u64>()) {
+    fn netlist_partition_has_no_cross_region_bytecode_edges(seed in any::<u64>()) {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
         let (state, _) = build_random_circuit(&mut rng);
         let nl = FlatNetlist::build(&state.circuit).unwrap();

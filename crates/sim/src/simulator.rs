@@ -42,9 +42,11 @@ use crate::netlist::{FlatNetlist, FlatReg, MemState};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Always 1: the simulator has one sequential sweep and no engine
-    /// code reads this field. It remains only because the `hgdb-bench`
-    /// benchmark prints it among the defaults in force.
+    /// Worker threads asked for. No engine code reads this field: the
+    /// simulator has one sequential sweep, which runs on the calling
+    /// thread whatever the value. `Default` sets 1; the field remains
+    /// only because the `hgdb-bench` benchmark prints it among the
+    /// defaults in force.
     pub workers: usize,
     /// Four-state (X/Z) evaluation. When `false` (the default) the
     /// simulator runs the exact two-state engine — no unknown planes
@@ -1700,9 +1702,62 @@ mod tests {
         });
     }
 
+    /// Drives a `mixed_design` simulator through a fixed stimulus and
+    /// collects every signal value at each cycle plus the final eval
+    /// counter.
+    fn trace(sim: &mut Simulator) -> (Vec<Vec<Bits>>, u64) {
+        let paths = sim.signal_paths();
+        let mut frames = Vec::new();
+        sim.reset(2);
+        for t in 0..20u64 {
+            mixed_stimulus(sim, t);
+            sim.step_clock();
+            frames.push(
+                paths
+                    .iter()
+                    .map(|p| sim.peek(p).unwrap())
+                    .collect::<Vec<_>>(),
+            );
+        }
+        (frames, sim.defs_evaluated())
+    }
+
+    /// No engine code reads `SimConfig::workers`: a simulator asking
+    /// for three workers runs the same sweep as the default one, bit
+    /// for bit, with the same eval count and memory contents.
     #[test]
-    fn latch_respects_reset_semantics() {
-        let mut sim = build(mixed_design, "mixed");
+    fn parallel_sweep_is_bit_identical_to_sequential() {
+        let mut seq = build(mixed_design, "mixed");
+        let mut par = build_with(
+            mixed_design,
+            "mixed",
+            SimConfig {
+                workers: 3,
+                ..SimConfig::default()
+            },
+        );
+        let (seq_frames, seq_evals) = trace(&mut seq);
+        let (par_frames, par_evals) = trace(&mut par);
+        assert_eq!(seq_frames, par_frames, "signal divergence");
+        assert_eq!(seq_evals, par_evals, "eval-count divergence");
+        for addr in 0..16 {
+            assert_eq!(
+                seq.peek_mem("mixed.scratch", addr),
+                par.peek_mem("mixed.scratch", addr)
+            );
+        }
+    }
+
+    /// Reset reloads register inits on the edge it deasserts, and the
+    /// edge after that runs the next-value function again, whatever
+    /// `workers` the configuration asks for.
+    #[test]
+    fn parallel_latch_respects_reset_semantics() {
+        let config = SimConfig {
+            workers: 2,
+            four_state: false,
+        };
+        let mut sim = build_with(mixed_design, "mixed", config);
         sim.poke("mixed.a", Bits::from_u64(5, 16)).unwrap();
         sim.run(3);
         sim.reset(2);
@@ -1717,6 +1772,26 @@ mod tests {
         sim.step_clock();
         // One cycle later the normal next-value function runs again.
         assert_eq!(sim.peek("mixed.r2").unwrap().to_u64(), 7 ^ b2);
+    }
+
+    /// The default configuration is one worker on the two-state
+    /// engine, and `four_state()` changes only the mode.
+    #[test]
+    fn sim_workers_env_shapes_default_config() {
+        assert_eq!(
+            SimConfig::default(),
+            SimConfig {
+                workers: 1,
+                four_state: false,
+            }
+        );
+        assert_eq!(
+            SimConfig::default().four_state(),
+            SimConfig {
+                workers: 1,
+                four_state: true,
+            }
+        );
     }
 
     #[test]
@@ -1777,6 +1852,41 @@ mod tests {
         assert_eq!(clean.0, replay.0, "signal divergence after restore");
         assert_eq!(clean.1, replay.1, "memory divergence after restore");
         assert_eq!(clean.2, replay.2, "eval-count divergence after restore");
+    }
+
+    /// A snapshot captured from one simulator restores into a freshly
+    /// built simulator of the same circuit, here one whose
+    /// configuration asks for three workers, and both then run
+    /// bit-identically.
+    #[test]
+    fn snapshot_restores_across_worker_counts() {
+        let mut seq = build(mixed_design, "mixed");
+        let mut par = build_with(
+            mixed_design,
+            "mixed",
+            SimConfig {
+                workers: 3,
+                ..SimConfig::default()
+            },
+        );
+        let paths = seq.signal_paths();
+        seq.reset(2);
+        for t in 0..5u64 {
+            mixed_stimulus(&mut seq, t);
+            seq.step_clock();
+        }
+        let snap = seq.snapshot();
+        par.restore(&snap).unwrap();
+        for t in 5..15u64 {
+            mixed_stimulus(&mut seq, t);
+            seq.step_clock();
+            mixed_stimulus(&mut par, t);
+            par.step_clock();
+            for p in &paths {
+                assert_eq!(seq.peek(p).unwrap(), par.peek(p).unwrap(), "cycle {t} {p}");
+            }
+        }
+        assert_eq!(seq.defs_evaluated(), par.defs_evaluated());
     }
 
     #[test]
@@ -1979,6 +2089,51 @@ mod tests {
             sim.peek4("ram.rdata").unwrap().to_known().unwrap().to_u64(),
             0xAB
         );
+    }
+
+    /// Drive a and b, leave c all-X: the X cone (memory write port, w
+    /// output) propagates the same way through two four-state
+    /// simulators, one of them configured for three workers.
+    #[test]
+    fn four_state_parallel_matches_sequential_with_x_present() {
+        let mut seq = build_with(mixed_design, "mixed", SimConfig::default().four_state());
+        let mut par = build_with(
+            mixed_design,
+            "mixed",
+            SimConfig {
+                workers: 3,
+                four_state: true,
+            },
+        );
+        let paths = seq.signal_paths();
+        seq.reset(2);
+        par.reset(2);
+        for t in 0..12u64 {
+            let stim = t.wrapping_mul(0x9E37_79B9).wrapping_add(t << 3);
+            for sim in [&mut seq, &mut par] {
+                sim.poke("mixed.a", Bits::from_u64(stim & 0xFFFF, 16))
+                    .unwrap();
+                sim.poke("mixed.b", Bits::from_u64((stim >> 8) & 0xFFFF, 16))
+                    .unwrap();
+                sim.step_clock();
+            }
+            for p in &paths {
+                assert_eq!(
+                    seq.peek4(p).unwrap(),
+                    par.peek4(p).unwrap(),
+                    "cycle {t} signal {p} diverged"
+                );
+            }
+        }
+        assert_eq!(seq.defs_evaluated(), par.defs_evaluated());
+        for addr in 0..16 {
+            assert_eq!(
+                seq.peek_mem4("mixed.scratch", addr),
+                par.peek_mem4("mixed.scratch", addr)
+            );
+        }
+        // c never resolved, so its X cone is still visible somewhere.
+        assert!(!seq.peek4("mixed.w").unwrap().is_fully_known());
     }
 
     #[test]
