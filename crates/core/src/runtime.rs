@@ -231,6 +231,40 @@ enum SliceOutcome {
     },
 }
 
+/// What a group evaluation is for — see [`Runtime::eval_group`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    /// A step: every active statement stops it, whatever the user
+    /// conditions say, and no hit is counted.
+    Step,
+    /// A `continue`: inserted breakpoints whose condition holds stop
+    /// it, and each matching owner's hit count moves.
+    Continue,
+    /// A `reverse_continue` landing: the stop a `continue` made here,
+    /// rebuilt without counting its hits again.
+    Revisit,
+}
+
+/// Where a stop falls in forward execution order, as the
+/// `reverse_continue` scan records it.
+#[derive(Debug, Clone, Copy)]
+struct Position {
+    /// [`SimControl::time`] read at the stop's cycle. It is only
+    /// compared or handed back to a rewind, never counted as cycles: a
+    /// trace stamps many time units per cycle.
+    time: u64,
+    slot: Slot,
+}
+
+/// A stop's place within its cycle, in the order the `continue` loop
+/// meets them: the watch changes across the edge into the cycle
+/// first, then the breakpoint groups in Figure 2 order.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Watch,
+    Group(usize),
+}
+
 /// A stop: either a breakpoint group (one source location, one or
 /// more concurrent instances — "threads", Figure 4 B) or a watchpoint
 /// value change (no source location, `watch_hits` populated).
@@ -804,7 +838,9 @@ impl<S: SimControl> Runtime<S> {
     /// restoring the nearest checkpoint at or before `cycle` and
     /// replaying forward (clock callbacks re-fire during replay, so
     /// callback-driven stimulus reproduces bit-identically). Watchpoint
-    /// baselines are re-read at the landing cycle.
+    /// baselines are re-read at the landing cycle, so the next
+    /// `continue` does not report "changes" against values from the
+    /// abandoned timeline.
     fn rewind_raw(&mut self, cycle: u64) -> Result<(), DebugError> {
         if self.sim.supports_reverse() {
             self.sim.set_time(cycle)?;
@@ -821,21 +857,8 @@ impl<S: SimControl> Runtime<S> {
                 }
             }
         }
-        self.rebaseline_watches();
+        self.advance_watches(None);
         Ok(())
-    }
-
-    /// Re-reads every watchpoint's comparison baseline from the
-    /// current state, so a restore does not fire spurious "changes"
-    /// against values from the abandoned timeline.
-    fn rebaseline_watches(&mut self) {
-        let mut watchpoints = std::mem::take(&mut self.watchpoints);
-        for watch in watchpoints.values_mut() {
-            if let Ok(value) = self.eval_watch(watch) {
-                watch.last = value;
-            }
-        }
-        self.watchpoints = watchpoints;
     }
 
     /// Restores execution to `cycle` (checkpoint restore + replay, or
@@ -1075,18 +1098,22 @@ impl<S: SimControl> Runtime<S> {
             .map_err(DebugError::from)
     }
 
-    /// Re-evaluates every watchpoint against the post-edge state and
-    /// returns the ones whose value changed, updating baselines and
-    /// hit counts. Evaluation errors are recorded once per watchpoint
-    /// in [`Runtime::diagnostics`], not raised.
+    /// Re-evaluates every watchpoint against the current state and
+    /// moves each baseline to the value it holds now: across a clock
+    /// edge to find changes, after a rewind or a step to re-read the
+    /// baselines. Returns whether any value changed; with `hits`, each
+    /// change is appended there. Evaluation errors are recorded once
+    /// per watchpoint in [`Runtime::diagnostics`], not raised. Hit
+    /// counts are the caller's: see [`Runtime::check_watchpoints`].
     ///
-    /// This sits on the continue hot loop (once per clock edge), so it
-    /// must not allocate when nothing fires: the map is temporarily
-    /// moved out of `self` (O(1), no allocation) to iterate it mutably
-    /// while evaluating through `&self`.
-    fn check_watchpoints(&mut self) -> Vec<WatchHit> {
+    /// This sits on the continue hot loop and the `reverse_continue`
+    /// scan (once per clock edge), so it must not allocate unless a
+    /// change is collected: the map is temporarily moved out of `self`
+    /// (O(1), no allocation) to iterate it mutably while evaluating
+    /// through `&self`.
+    fn advance_watches(&mut self, mut hits: Option<&mut Vec<WatchHit>>) -> bool {
         if self.watchpoints.is_empty() {
-            return Vec::new();
+            return false;
         }
         let mut watchpoints = std::mem::take(&mut self.watchpoints);
         // The map is moved out of `self` for the duration of the walk;
@@ -1094,20 +1121,22 @@ impl<S: SimControl> Runtime<S> {
         // injected fault) would otherwise silently discard *every*
         // session's watchpoints. Catch, restore, re-raise.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut hits = Vec::new();
+            let mut changed = false;
             for (id, watch) in watchpoints.iter_mut() {
                 match self.eval_watch(watch) {
                     Ok(value) => {
                         if value != watch.last {
-                            hits.push(WatchHit {
-                                id: *id,
-                                owner: watch.owner,
-                                expr: watch.expr_text.clone(),
-                                old: watch.last.clone(),
-                                new: value.clone(),
-                            });
-                            watch.last = value;
-                            watch.hit_count += 1;
+                            changed = true;
+                            let old = std::mem::replace(&mut watch.last, value);
+                            if let Some(hits) = hits.as_mut() {
+                                hits.push(WatchHit {
+                                    id: *id,
+                                    owner: watch.owner,
+                                    expr: watch.expr_text.clone(),
+                                    old,
+                                    new: watch.last.clone(),
+                                });
+                            }
                         }
                     }
                     Err(e) => {
@@ -1119,13 +1148,28 @@ impl<S: SimControl> Runtime<S> {
                     }
                 }
             }
-            hits
+            changed
         }));
         self.watchpoints = watchpoints;
         match result {
-            Ok(hits) => hits,
+            Ok(changed) => changed,
             Err(payload) => std::panic::resume_unwind(payload),
         }
+    }
+
+    /// The `continue` loop's watch check: returns the watchpoints
+    /// whose value changed across the edge, moving their baselines and
+    /// counting a hit on each.
+    fn check_watchpoints(&mut self) -> Vec<WatchHit> {
+        let mut hits = Vec::new();
+        if self.advance_watches(Some(&mut hits)) {
+            for hit in &hits {
+                if let Some(watch) = self.watchpoints.get_mut(&hit.id) {
+                    watch.hit_count += 1;
+                }
+            }
+        }
+        hits
     }
 
     /// Resolves a name in an instance context: scoped locals are the
@@ -1193,17 +1237,118 @@ impl<S: SimControl> Runtime<S> {
         self.sim.set_value(&target, value).map_err(DebugError::from)
     }
 
-    /// Evaluates one group; returns frames for every matching
-    /// breakpoint plus the owning sessions whose insertions matched.
-    /// `only_inserted` restricts to user breakpoints (continue
-    /// semantics); stepping considers every statement and ignores user
-    /// conditions (a step stops at the next *active* statement
-    /// regardless of which sessions instrumented it).
-    fn eval_group(
+    /// Whether breakpoint `bp_id` matches now: its enable holds and,
+    /// with `only_inserted`, it is inserted and some owning session's
+    /// condition holds. Each matching owner is passed to `matched`.
+    /// Stepping passes `only_inserted = false`: a step stops at the
+    /// next *active* statement regardless of which sessions
+    /// instrumented it, so no condition is read and no owner reported.
+    ///
+    /// This is the per-cycle matching of every `continue` and of the
+    /// `reverse_continue` scan: it allocates nothing, and records an
+    /// enable or condition error once, not once per cycle.
+    fn bp_matches(
         &mut self,
-        group_index: usize,
+        bp_id: i64,
         only_inserted: bool,
-    ) -> (Vec<Frame>, Vec<SessionId>) {
+        mut matched: impl FnMut(SessionId),
+    ) -> bool {
+        let Some(st) = self.static_bps.get(&bp_id) else {
+            return false;
+        };
+        let owners = self.inserted.get(&bp_id);
+        if only_inserted && owners.is_none() {
+            return false;
+        }
+        let sim = &self.sim;
+        // Enable condition (§3.1): statement must be active this
+        // cycle. Names were bound at attach time. Truthiness is
+        // four-state: an enable that evaluates to x (unresolved
+        // control pre-reset) is *not* active — stopping on a
+        // statement that may not execute would be a false positive.
+        let enable_result = st.enable.as_ref().map(|enable| eval_scoped(sim, enable));
+        match enable_result {
+            None => {}
+            Some(Ok(v)) if v.is_truthy_known() => {}
+            Some(Ok(_)) => return false,
+            Some(Err(e)) => {
+                // Once per breakpoint, not once per cycle — an
+                // unresolvable enable in a partial trace errors on
+                // every evaluation of a long continue.
+                if !st.enable_error_reported.get() {
+                    st.enable_error_reported.set(true);
+                    self.diagnostics
+                        .push(format!("breakpoint {bp_id}: enable: {e}"));
+                }
+                return false;
+            }
+        }
+        let Some(owners) = owners.filter(|_| only_inserted) else {
+            return true;
+        };
+        // User conditions (§3.2 step 2), one per owning session. The
+        // breakpoint stops when *any* session's condition holds; the
+        // matching owners are reported on the stop event and are the
+        // only ones whose hit counts move. Names were bound at insert
+        // time.
+        let mut any = false;
+        let mut erroring: Vec<(SessionId, String)> = Vec::new();
+        for (owner, ins) in owners {
+            match &ins.condition {
+                None => {
+                    matched(*owner);
+                    any = true;
+                }
+                // is_truthy_known: a condition that evaluates to x
+                // (e.g. `count == 8'hff` over an unreset register)
+                // does not stop the run.
+                Some(cond) => match eval_scoped(sim, cond) {
+                    Ok(v) if v.is_truthy_known() => {
+                        matched(*owner);
+                        any = true;
+                    }
+                    Ok(_) => {}
+                    Err(e) => {
+                        if !ins.cond_error_reported {
+                            erroring.push((*owner, format!("breakpoint {bp_id}: condition: {e}")));
+                        }
+                    }
+                },
+            }
+        }
+        // Record each broken condition once, not once per simulated
+        // cycle (a continue can span millions).
+        for (owner, message) in erroring {
+            if let Some(ins) = self
+                .inserted
+                .get_mut(&bp_id)
+                .and_then(|owners| owners.get_mut(&owner))
+            {
+                ins.cond_error_reported = true;
+                self.diagnostics.push(message);
+            }
+        }
+        any
+    }
+
+    /// Whether any inserted breakpoint of a group matches now — the
+    /// `reverse_continue` scan's question, answered with the matching
+    /// a `continue` uses but without building frames. Every breakpoint
+    /// of the group is evaluated, as a forward run evaluates them, so
+    /// errors are reported alike.
+    fn group_matches(&mut self, group_index: usize) -> bool {
+        let mut any = false;
+        for position in 0..self.scheduler.groups()[group_index].bp_ids.len() {
+            let bp_id = self.scheduler.groups()[group_index].bp_ids[position];
+            any |= self.bp_matches(bp_id, true, |_| {});
+        }
+        any
+    }
+
+    /// Evaluates one group for `visit`; returns frames for every
+    /// matching breakpoint plus the owning sessions whose insertions
+    /// matched.
+    fn eval_group(&mut self, group_index: usize, visit: Visit) -> (Vec<Frame>, Vec<SessionId>) {
         let mut hits = Vec::new();
         let mut sessions: Vec<SessionId> = Vec::new();
         // By position, not over a copy of the id list: this runs for
@@ -1211,98 +1356,28 @@ impl<S: SimControl> Runtime<S> {
         // allocate.
         for position in 0..self.scheduler.groups()[group_index].bp_ids.len() {
             let bp_id = self.scheduler.groups()[group_index].bp_ids[position];
-            let Some(st) = self.static_bps.get(&bp_id) else {
+            let first_owner = sessions.len();
+            if !self.bp_matches(bp_id, visit != Visit::Step, |owner| sessions.push(owner)) {
+                continue;
+            }
+            let Some(frame) = self.build_frame(bp_id) else {
+                sessions.truncate(first_owner);
                 continue;
             };
-            let owners = self.inserted.get(&bp_id);
-            if only_inserted && owners.is_none() {
-                continue;
-            }
-            let sim = &self.sim;
-            // Enable condition (§3.1): statement must be active this
-            // cycle. Names were bound at attach time. Truthiness is
-            // four-state: an enable that evaluates to x (unresolved
-            // control pre-reset) is *not* active — stopping on a
-            // statement that may not execute would be a false positive.
-            let enable_result = st.enable.as_ref().map(|enable| eval_scoped(sim, enable));
-            match enable_result {
-                None => {}
-                Some(Ok(v)) if v.is_truthy_known() => {}
-                Some(Ok(_)) => continue,
-                Some(Err(e)) => {
-                    // Once per breakpoint, not once per cycle — an
-                    // unresolvable enable in a partial trace errors on
-                    // every evaluation of a long continue.
-                    if !st.enable_error_reported.get() {
-                        st.enable_error_reported.set(true);
-                        self.diagnostics
-                            .push(format!("breakpoint {bp_id}: enable: {e}"));
-                    }
-                    continue;
-                }
-            }
-            // User conditions (§3.2 step 2), one per owning session.
-            // The breakpoint stops when *any* session's condition
-            // holds; the matching owners are reported on the stop
-            // event and are the only ones whose hit counts move.
-            // Names were bound at insert time.
-            let mut matched_owners: Vec<SessionId> = Vec::new();
-            if only_inserted {
-                let mut erroring: Vec<(SessionId, String)> = Vec::new();
-                for (owner, ins) in owners.expect("checked above") {
-                    match &ins.condition {
-                        None => matched_owners.push(*owner),
-                        // is_truthy_known: a condition that evaluates
-                        // to x (e.g. `count == 8'hff` over an unreset
-                        // register) does not stop the run.
-                        Some(cond) => match eval_scoped(sim, cond) {
-                            Ok(v) if v.is_truthy_known() => matched_owners.push(*owner),
-                            Ok(_) => {}
-                            Err(e) => {
-                                if !ins.cond_error_reported {
-                                    erroring.push((
-                                        *owner,
-                                        format!("breakpoint {bp_id}: condition: {e}"),
-                                    ));
-                                }
-                            }
-                        },
-                    }
-                }
-                // Record each broken condition once, not once per
-                // simulated cycle (a continue can span millions).
-                for (owner, message) in erroring {
-                    if let Some(ins) = self
-                        .inserted
-                        .get_mut(&bp_id)
-                        .and_then(|owners| owners.get_mut(&owner))
-                    {
-                        ins.cond_error_reported = true;
-                        self.diagnostics.push(message);
-                    }
-                }
-                if matched_owners.is_empty() {
-                    continue;
-                }
-            }
-            if let Some(frame) = self.build_frame(bp_id) {
-                // A hit is a *stop the user asked for*: count it only
-                // in continue mode (stepping visits every statement and
-                // must not inflate user-visible hit counts), and only
-                // when a frame was actually built (no counted hit
-                // without a stop).
-                if only_inserted {
-                    if let Some(owners) = self.inserted.get_mut(&bp_id) {
-                        for owner in &matched_owners {
-                            if let Some(ins) = owners.get_mut(owner) {
-                                ins.hit_count += 1;
-                            }
+            // A hit is a *stop the user asked for*: count it only in a
+            // forward continue (stepping visits every statement, and a
+            // revisit re-earns nothing), and only when a frame was
+            // actually built (no counted hit without a stop).
+            if visit == Visit::Continue {
+                if let Some(owners) = self.inserted.get_mut(&bp_id) {
+                    for owner in &sessions[first_owner..] {
+                        if let Some(ins) = owners.get_mut(owner) {
+                            ins.hit_count += 1;
                         }
                     }
-                    sessions.extend(matched_owners);
                 }
-                hits.push(frame);
             }
+            hits.push(frame);
         }
         sessions.sort_unstable();
         sessions.dedup();
@@ -1443,7 +1518,7 @@ impl<S: SimControl> Runtime<S> {
                 .min(remaining_budget.unwrap_or(u64::MAX));
             let wall = Instant::now() + SLICE_WALL;
             let deadline = budget_deadline.map_or(wall, |d| d.min(wall));
-            match self.continue_slice(cycles, Some(deadline), u64::MAX)? {
+            match self.continue_slice(cycles, Some(deadline))? {
                 SliceOutcome::Stopped(event) => return Ok(RunOutcome::Stopped(event)),
                 SliceOutcome::Finished { time } => return Ok(RunOutcome::Finished { time }),
                 SliceOutcome::Expired { cycles } => {
@@ -1466,18 +1541,14 @@ impl<S: SimControl> Runtime<S> {
     }
 
     /// Runs one bounded slice of a `continue`: the Figure 2 loop for at
-    /// most `max_cycles` clock cycles, cut short at `deadline`. The
-    /// first step that reaches backend time `before` ends the slice at
-    /// once, before that cycle's watchpoints or breakpoints are
-    /// evaluated; only [`Runtime::scan_forward_stops`] sets this bound,
-    /// and it rewinds afterwards. On [`SliceOutcome::Expired`] the
-    /// scheduler's in-cycle cursor persists, so chaining slices is
-    /// cycle-for-cycle identical to one long continue.
+    /// most `max_cycles` clock cycles, cut short at `deadline`. On
+    /// [`SliceOutcome::Expired`] the scheduler's in-cycle cursor
+    /// persists, so chaining slices is cycle-for-cycle identical to one
+    /// long continue.
     fn continue_slice(
         &mut self,
         max_cycles: u64,
         deadline: Option<Instant>,
-        before: u64,
     ) -> Result<SliceOutcome, DebugError> {
         self.ensure_not_degraded()?;
         let mut cycles: u64 = 0;
@@ -1490,7 +1561,7 @@ impl<S: SimControl> Runtime<S> {
                     if !self.group_has_inserted(gi) {
                         continue;
                     }
-                    let (hits, sessions) = self.eval_group(gi, true);
+                    let (hits, sessions) = self.eval_group(gi, Visit::Continue);
                     if !hits.is_empty() {
                         let RunOutcome::Stopped(event) = self.stop(gi, hits, sessions) else {
                             unreachable!("stop always yields Stopped");
@@ -1522,9 +1593,6 @@ impl<S: SimControl> Runtime<S> {
             cycles += 1;
             self.scheduler.reset_cycle();
             self.stopped = None;
-            if self.sim.time() >= before {
-                return Ok(SliceOutcome::Expired { cycles });
-            }
             // Watchpoints compare values across the edge that just
             // happened — the "evaluation points" of §3 are rising
             // clock edges, where register state is stable.
@@ -1570,7 +1638,7 @@ impl<S: SimControl> Runtime<S> {
             self.maybe_auto_checkpoint();
         };
         if cycles > 0 {
-            self.rebaseline_watches();
+            self.advance_watches(None);
         }
         Ok(outcome)
     }
@@ -1618,7 +1686,7 @@ impl<S: SimControl> Runtime<S> {
     /// not.
     fn step_through(&mut self, groups: impl Iterator<Item = usize>) -> Option<RunOutcome> {
         for gi in groups {
-            let (hits, sessions) = self.eval_group(gi, false);
+            let (hits, sessions) = self.eval_group(gi, Visit::Step);
             if !hits.is_empty() {
                 return Some(self.stop(gi, hits, sessions));
             }
@@ -1627,20 +1695,26 @@ impl<S: SimControl> Runtime<S> {
         None
     }
 
-    /// Resumes execution *backwards* to the most recent
-    /// breakpoint/watchpoint hit at a strictly earlier cycle, on any
-    /// backend.
+    /// Resumes execution *backwards* to the most recent breakpoint or
+    /// watchpoint stop at a strictly earlier cycle, on any backend.
     ///
-    /// On forward-only backends this is restore + replay: working from
-    /// the newest retained checkpoint backwards, each
-    /// checkpoint-to-upper-bound window is replayed once to count the
-    /// stops inside it and once more to land on the last of them —
-    /// deterministic replay guarantees both passes see identical stop
-    /// sequences. Breakpoint and watchpoint hit counts are preserved
-    /// across the replays (reverse execution revisits history, it does
-    /// not re-earn hits). With no stop anywhere in recorded history,
-    /// execution is left at the earliest reachable cycle and
-    /// [`RunOutcome::Finished`] is returned.
+    /// The search walks back from the current cycle in windows and
+    /// replays each window forward once, recording only the position
+    /// of the last stop it passes: no frame, no stop event, no hit
+    /// count. The newest window that holds a stop ends the search; the
+    /// call rewinds to that position and builds the stop there as the
+    /// forward run built it. A natively reversible backend starts its
+    /// windows at time marks whose distance back doubles each window,
+    /// so the replay covers about as many cycles as the call moves
+    /// back; a forward-only backend starts them at its retained
+    /// checkpoints. Hit counts do not move: reverse execution revisits
+    /// history, it does not re-earn hits. With no stop anywhere in
+    /// reachable history, execution is left at the earliest reachable
+    /// cycle and [`RunOutcome::Finished`] is returned.
+    ///
+    /// A stop earlier in the current cycle is never the target, even
+    /// one that the Figure 2 order puts before the current stop;
+    /// [`Runtime::reverse_step`] walks that order backward.
     ///
     /// # Errors
     ///
@@ -1649,123 +1723,124 @@ impl<S: SimControl> Runtime<S> {
     /// degraded.
     pub fn reverse_continue(&mut self) -> Result<RunOutcome, DebugError> {
         self.ensure_not_degraded()?;
-        let target = self.sim.time();
-        if target == 0 {
+        let current = self.sim.time();
+        if current == 0 {
             self.stopped = None;
             return Ok(RunOutcome::Finished { time: 0 });
         }
-        // Replaying history mutates per-session hit counters and
-        // one-shot error flags; save them now and restore after, on
-        // every exit path. (`watch.last` is deliberately *not* saved:
-        // after landing it must baseline the landing cycle's values.)
-        let saved_bp: Vec<(i64, SessionId, u64, bool)> = self
-            .inserted
-            .iter()
-            .flat_map(|(id, owners)| {
-                owners
-                    .iter()
-                    .map(|(o, ins)| (*id, *o, ins.hit_count, ins.cond_error_reported))
-            })
-            .collect();
-        let saved_watch: Vec<(i64, u64, bool)> = self
-            .watchpoints
-            .iter()
-            .map(|(id, w)| (*id, w.hit_count, w.error_reported))
-            .collect();
-        let result = self.reverse_continue_inner(target);
-        for (id, owner, hits, err) in saved_bp {
-            if let Some(ins) = self.inserted.get_mut(&id).and_then(|o| o.get_mut(&owner)) {
-                ins.hit_count = hits;
-                ins.cond_error_reported = err;
+        let earliest = if self.sim.supports_reverse() {
+            0
+        } else {
+            match self.checkpoints.cycles().first() {
+                Some(&cycle) if cycle < current => cycle,
+                _ => return Err(DebugError::NoCheckpoint(current - 1)),
+            }
+        };
+        let mut found = None;
+        if !self.inserted.is_empty() || !self.watchpoints.is_empty() {
+            let mut upper = current;
+            let mut span = 1;
+            while let Some(origin) = self.window_origin(upper, span)? {
+                // Only the newest window stops short of its upper's
+                // watch changes: they belong to the current cycle.
+                found = self.scan_window(upper, upper != current);
+                if found.is_some() {
+                    break;
+                }
+                upper = origin;
+                span = span.saturating_mul(2);
             }
         }
-        for (id, hits, err) in saved_watch {
-            if let Some(w) = self.watchpoints.get_mut(&id) {
-                w.hit_count = hits;
-                w.error_reported = err;
-            }
-        }
-        result
-    }
-
-    /// The windowed two-pass scan behind [`Runtime::reverse_continue`].
-    fn reverse_continue_inner(&mut self, target: u64) -> Result<RunOutcome, DebugError> {
-        // Candidate replay origins, newest first: retained checkpoint
-        // cycles strictly before the current cycle (cycle 0 itself on a
-        // natively reversible backend, which can land anywhere).
-        let mut origins: Vec<u64> = self
-            .checkpoints
-            .cycles()
-            .into_iter()
-            .filter(|c| *c < target)
-            .rev()
-            .collect();
-        if origins.is_empty() {
-            if self.sim.supports_reverse() {
-                origins.push(0);
-            } else {
-                return Err(DebugError::NoCheckpoint(target.saturating_sub(1)));
-            }
-        }
-        let earliest = *origins.last().expect("non-empty");
-        let mut upper = target;
-        for origin in origins {
-            if origin >= upper {
-                continue;
-            }
-            // Pass 1: count the stops in [origin, upper).
-            self.rewind_raw(origin)?;
-            self.scheduler.reset_cycle();
-            self.stopped = None;
-            let count = self.scan_forward_stops(upper, None)?;
-            if count > 0 {
-                // Pass 2: identical replay, landing on the last stop.
-                self.rewind_raw(origin)?;
-                self.scheduler.reset_cycle();
-                self.stopped = None;
-                self.scan_forward_stops(upper, Some(count))?;
-                let event = self.stopped.clone().expect("pass 2 lands on a stop");
-                return Ok(RunOutcome::Stopped(event));
-            }
-            upper = origin;
-        }
-        // No stop anywhere in recorded history: rest at the earliest
-        // reachable cycle.
-        self.rewind_raw(earliest)?;
         self.scheduler.reset_cycle();
         self.stopped = None;
-        Ok(RunOutcome::Finished {
-            time: self.sim.time(),
-        })
+        let Some(position) = found else {
+            self.rewind_raw(earliest)?;
+            return Ok(RunOutcome::Finished {
+                time: self.sim.time(),
+            });
+        };
+        match position.slot {
+            Slot::Group(gi) => {
+                self.rewind_raw(position.time)?;
+                let (hits, sessions) = self.eval_group(gi, Visit::Revisit);
+                debug_assert!(!hits.is_empty(), "landing repeats the scanned match");
+                Ok(self.stop(gi, hits, sessions))
+            }
+            Slot::Watch => {
+                // One cycle short, then across the edge again, so the
+                // stop reports the old and new values the forward stop
+                // did.
+                self.rewind_raw(position.time - 1)?;
+                self.sim.step_clock();
+                let mut hits = Vec::new();
+                self.advance_watches(Some(&mut hits));
+                debug_assert!(!hits.is_empty(), "landing repeats the scanned change");
+                Ok(self.stop_watch(hits))
+            }
+        }
     }
 
-    /// Replays forward from the current cycle, stopping normally at
-    /// breakpoints/watchpoints, until a step reaches backend time
-    /// `upper` (a watch firing there, or a breakpoint at that cycle, is
-    /// the stop being reversed away from). The window is bounded in
-    /// backend time, not in cycles: a trace replay advances many time
-    /// units per cycle. With `take_nth = None` every stop is resumed
-    /// through and the total is returned; with `Some(n)` the scan
-    /// halts *at* the nth stop (leaving [`Runtime::stopped`] describing
-    /// it).
-    fn scan_forward_stops(
-        &mut self,
-        upper: u64,
-        take_nth: Option<usize>,
-    ) -> Result<usize, DebugError> {
-        let mut seen = 0usize;
+    /// Rewinds to the origin of the `reverse_continue` window that ends
+    /// at backend time `upper`, returning the origin's time, or `None`
+    /// when no cycle before `upper` is reachable. A natively reversible
+    /// backend moves back `span` time units (`set_time` snaps them to a
+    /// cycle); a forward-only one restores its newest checkpoint
+    /// before `upper`.
+    fn window_origin(&mut self, upper: u64, span: u64) -> Result<Option<u64>, DebugError> {
+        let target = if self.sim.supports_reverse() {
+            upper.saturating_sub(span)
+        } else {
+            match upper
+                .checked_sub(1)
+                .and_then(|before| self.checkpoints.nearest_at_or_before(before))
+            {
+                Some(cp) => cp.cycle(),
+                None => return Ok(None),
+            }
+        };
+        self.rewind_raw(target)?;
+        let origin = self.sim.time();
+        Ok((origin < upper).then_some(origin))
+    }
+
+    /// Replays one `reverse_continue` window forward, from the current
+    /// cycle (its origin) to backend time `upper`, and returns the
+    /// position of the last stop on the way. Groups match at every
+    /// cycle before `upper`, and watches change at every cycle after
+    /// the origin, `upper` itself included when `watch_upper`: a
+    /// newer window re-reads its baselines at its origin, so the change
+    /// into that origin is this window's to find. Nothing is recorded
+    /// (no frame, no hit count, no auto-checkpoint); watch baselines
+    /// move as in a forward run.
+    fn scan_window(&mut self, upper: u64, watch_upper: bool) -> Option<Position> {
+        let mut last = None;
         loop {
-            match self.continue_slice(u64::MAX, None, upper)? {
-                SliceOutcome::Stopped(event) => {
-                    debug_assert!(event.time < upper, "scan stop escaped its window");
-                    seen += 1;
-                    if take_nth == Some(seen) {
-                        return Ok(seen);
+            let time = self.sim.time();
+            if !self.inserted.is_empty() {
+                for gi in 0..self.scheduler.groups().len() {
+                    if self.group_has_inserted(gi) && self.group_matches(gi) {
+                        last = Some(Position {
+                            time,
+                            slot: Slot::Group(gi),
+                        });
                     }
                 }
-                SliceOutcome::Finished { .. } | SliceOutcome::Expired { .. } => {
-                    return Ok(seen);
-                }
+            }
+            if !self.sim.step_clock() {
+                return last;
+            }
+            let time = self.sim.time();
+            if time >= upper && !watch_upper {
+                return last;
+            }
+            if self.advance_watches(None) {
+                last = Some(Position {
+                    time,
+                    slot: Slot::Watch,
+                });
+            }
+            if time >= upper {
+                return last;
             }
         }
     }

@@ -184,11 +184,19 @@ fn write_change<W: Write>(out: &mut W, id: &str, value: &Bits4, width: u32) -> i
     if width == 1 {
         writeln!(out, "{}{}", value.bit_char(0), id)
     } else {
-        // Conventional VCD trims leading zeros — but only zeros:
-        // leading `x`/`z` digits are significant.
+        // Conventional VCD trims leading zeros — but only zeros, and
+        // not the last one before an `x` or `z`: IEEE 1364 has a
+        // reader left-extend a short vector with its first digit when
+        // that is `x` or `z`, so `0000xxxx` must be written `b0xxxx`.
         let full = value.bin_digits();
         let trimmed = full.trim_start_matches('0');
-        let digits = if trimmed.is_empty() { "0" } else { trimmed };
+        let digits = match trimmed.bytes().next() {
+            None => "0",
+            Some(b'x' | b'z') if trimmed.len() < full.len() => {
+                &full[full.len() - trimmed.len() - 1..]
+            }
+            Some(_) => trimmed,
+        };
         writeln!(out, "b{digits} {id}")
     }
 }
@@ -313,5 +321,40 @@ mod tests {
         let tail = text.rsplit("#15").next().unwrap();
         let _ = tail;
         assert!(text.contains("b0 ") || text.contains("b1 "), "{text}");
+    }
+
+    /// An unreset 4-bit register zero-extended to 8 bits reads
+    /// `0000xxxx`. Trimmed to `bxxxx`, a reader would extend the `x`
+    /// over all eight bits; one zero must stay.
+    #[test]
+    fn four_state_dump_keeps_the_zero_before_x() {
+        let mut cb = CircuitBuilder::new();
+        cb.module("widen", |m| {
+            let out = m.output("out", 8);
+            let r = m.reg("r", 4, None);
+            m.assign(&r, r.sig());
+            m.assign(&out, r.sig().zext(8));
+        });
+        let circuit = cb.finish("widen").unwrap();
+        let mut state = hgf_ir::CircuitState::new(circuit);
+        hgf_ir::passes::compile(&mut state, false).unwrap();
+        let mut sim =
+            Simulator::with_config(&state.circuit, SimConfig::default().four_state()).unwrap();
+        assert_eq!(sim.peek4("widen.out").unwrap().bin_digits(), "0000xxxx");
+        let mut out = Vec::new();
+        let mut rec = Recorder::new(&sim, &mut out).unwrap();
+        SimControl::step_clock(&mut sim);
+        rec.sample(&sim).unwrap();
+        rec.finish().unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let out_id = text
+            .lines()
+            .find_map(|l| l.strip_suffix(" out $end")?.strip_prefix("$var wire 8 "))
+            .expect("out is declared");
+        let change = text
+            .lines()
+            .find(|l| l.ends_with(&format!(" {out_id}")) && l.starts_with('b'))
+            .expect("out is dumped");
+        assert_eq!(change, format!("b0xxxx {out_id}"), "dump:\n{text}");
     }
 }

@@ -450,6 +450,74 @@ fn live_sim_reverse_over_protocol() {
     server.join().unwrap();
 }
 
+/// The stop a `continue` or `reverse_continue` must have made.
+fn stopped(outcome: RunOutcome) -> hgdb::StopEvent {
+    match outcome {
+        RunOutcome::Stopped(event) => event,
+        other => panic!("expected a stop, got {other:?}"),
+    }
+}
+
+/// The counter's forward watch stops on `top.out`, `count` of them.
+fn watch_stops<S: rtl_sim::SimControl>(rt: &mut Runtime<S>, count: usize) -> Vec<hgdb::StopEvent> {
+    (0..count)
+        .map(|_| {
+            let event = stopped(rt.continue_run(Some(100)).unwrap());
+            assert_eq!(event.reason, StopKind::Watchpoint);
+            event
+        })
+        .collect()
+}
+
+/// A watch change into a checkpoint's cycle: the window that starts at
+/// the checkpoint re-reads the watch baselines there, so only the
+/// older window can see the change, at its own upper bound.
+#[test]
+fn reverse_continue_finds_a_watch_change_into_a_checkpoint_cycle() {
+    let (sim, symbols, _) = build_counter();
+    let mut rt = Runtime::attach(sim, symbols).unwrap();
+    rt.checkpoint_now().unwrap();
+    rt.insert_watchpoint(None, "top.out").unwrap();
+    let stops = watch_stops(&mut rt, 5);
+    let boundary = stops.last().unwrap();
+    assert_eq!(rt.checkpoint_now().unwrap(), boundary.time);
+    let next = watch_stops(&mut rt, 1).remove(0);
+    assert_eq!(next.time, boundary.time + 1);
+    let hits = rt.watchpoints()[0].hit_count;
+
+    let back = stopped(rt.reverse_continue().unwrap());
+    assert_eq!(&back, boundary, "lands on the change into the checkpoint");
+    assert_eq!(rt.watchpoints()[0].hit_count, hits, "hit count unchanged");
+    assert_eq!(stopped(rt.continue_run(Some(100)).unwrap()), next);
+}
+
+/// The same case on a replayed trace: native windows start one cycle
+/// back, then further, so every change into the previous cycle sits on
+/// a window boundary.
+#[test]
+fn replay_reverse_continue_finds_a_watch_change_at_a_window_boundary() {
+    let (mut sim, symbols, _) = build_counter();
+    let mut vcd_text = Vec::new();
+    let mut rec = vcd::Recorder::new(&sim, &mut vcd_text).unwrap();
+    for _ in 0..30 {
+        rtl_sim::SimControl::step_clock(&mut sim);
+        rec.sample(&sim).unwrap();
+    }
+    rec.finish().unwrap();
+    let trace = vcd::parse(std::str::from_utf8(&vcd_text).unwrap()).unwrap();
+    let mut replay = vcd::ReplaySim::new(trace);
+    rtl_sim::SimControl::step_clock(&mut replay);
+    let mut rt = Runtime::attach(replay, symbols).unwrap();
+    rt.insert_watchpoint(None, "top.out").unwrap();
+    let stops = watch_stops(&mut rt, 8);
+    let hits = rt.watchpoints()[0].hit_count;
+    for pair in stops.windows(2).rev() {
+        assert_eq!(stopped(rt.reverse_continue().unwrap()), pair[0]);
+        assert_eq!(rt.watchpoints()[0].hit_count, hits, "hit count unchanged");
+    }
+    assert_eq!(stopped(rt.continue_run(Some(100)).unwrap()), stops[1]);
+}
+
 /// `response` as the service reports it to `session`: a stop names its
 /// owning session by the service-assigned id, not `LOCAL_SESSION`.
 fn owned_by(response: Response, session: SessionId) -> Response {
