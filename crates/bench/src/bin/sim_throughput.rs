@@ -21,8 +21,10 @@
 //! * `--gate <path>` — regression gate against a recorded baseline
 //!   (`BENCH_sim_throughput.json`): measure the two-state `rv32_core`
 //!   row and fail if it lands below 95% of the recorded `current`
-//!   number. Guards the four-state engine work: the two-state fast
-//!   path must stay within 5% of its baseline.
+//!   number, or if its timed window evaluates a different number of
+//!   definitions per cycle than recorded. The count repeats exactly
+//!   on any host, so it catches a change in the engine's work even
+//!   where the host's speed hides it in the wall clock.
 //!
 //! The `rv32_core` rows time a program that is still executing: the
 //! suite's `multiply` kernel with its loop bound raised, checked not to
@@ -41,8 +43,21 @@ struct Row {
     cycles: u64,
     warmup: u64,
     cycles_per_sec: f64,
+    /// Combinational definitions evaluated per cycle of the timed
+    /// window.
+    defs_per_cycle: f64,
     /// Snapshot cadence inside the timed window; 0 = no checkpointing.
     checkpoint_every: u64,
+}
+
+/// Times `cycles` cycles after `warmup` untimed ones; returns the
+/// rate and the definitions evaluated per timed cycle.
+fn measure(sim: &mut Simulator, warmup: u64, cycles: u64) -> (f64, f64) {
+    sim.run(warmup);
+    let defs = sim.defs_evaluated();
+    let cps = measure_throughput_warmed(sim, 0, cycles);
+    let defs_per_cycle = (sim.defs_evaluated() - defs) as f64 / cycles as f64;
+    (cps, defs_per_cycle)
 }
 
 /// Loads [`executing_workload`] on the release-mode core.
@@ -64,13 +79,14 @@ fn assert_executing(sim: &Simulator, halted: &str) {
 
 fn measure_rv32(cycles: u64, warmup: u64) -> Row {
     let (mut sim, halted) = executing_sim();
-    let cps = measure_throughput_warmed(&mut sim, warmup, cycles);
+    let (cps, defs_per_cycle) = measure(&mut sim, warmup, cycles);
     assert_executing(&sim, &halted);
     Row {
         design: "rv32_core",
         cycles,
         warmup,
         cycles_per_sec: cps,
+        defs_per_cycle,
         checkpoint_every: 0,
     }
 }
@@ -81,13 +97,16 @@ fn measure_rv32(cycles: u64, warmup: u64) -> Row {
 /// absolute throughput drifts between runs).
 fn measure_rv32_checkpointed(cycles: u64, warmup: u64, every: u64) -> (Row, f64) {
     let (mut sim, halted) = executing_sim();
-    let (cps, overhead) = measure_throughput_checkpointed(&mut sim, warmup, cycles, every);
+    sim.run(warmup);
+    let defs = sim.defs_evaluated();
+    let (cps, overhead) = measure_throughput_checkpointed(&mut sim, 0, cycles, every);
     assert_executing(&sim, &halted);
     let row = Row {
         design: "rv32_core",
         cycles,
         warmup,
         cycles_per_sec: cps,
+        defs_per_cycle: (sim.defs_evaluated() - defs) as f64 / cycles as f64,
         checkpoint_every: every,
     };
     (row, overhead)
@@ -95,12 +114,13 @@ fn measure_rv32_checkpointed(cycles: u64, warmup: u64, every: u64) -> (Row, f64)
 
 fn measure_wide(cycles: u64, warmup: u64) -> Row {
     let mut sim = loaded_wide_sim(8);
-    let cps = measure_throughput_warmed(&mut sim, warmup, cycles);
+    let (cps, defs_per_cycle) = measure(&mut sim, warmup, cycles);
     Row {
         design: "wide_datapath",
         cycles,
         warmup,
         cycles_per_sec: cps,
+        defs_per_cycle,
         checkpoint_every: 0,
     }
 }
@@ -123,30 +143,48 @@ fn check_correctness() {
 
 /// Gate mode: measure the two-state `rv32_core` row and compare
 /// against the recorded baseline in `path`. Fails (panics) below 95%
-/// of baseline; the measurement takes the median of three runs to
-/// damp runner noise, like the recorded numbers did.
+/// of baseline, or when a run's timed window evaluates another number
+/// of definitions than the recorded `defs_per_cycle`; the measurement
+/// takes the median of three runs to damp runner noise, like the
+/// recorded numbers did.
 fn run_gate(path: &str, cycles: u64, warmup: u64) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--gate: cannot read {path}: {e}"));
     let json =
         microjson::parse(&text).unwrap_or_else(|e| panic!("--gate: bad JSON in {path}: {e:?}"));
-    let baseline = json["current"]["rows"]
+    let row = json["current"]["rows"]
         .as_array()
         .unwrap_or_else(|| panic!("--gate: {path} has no current.rows"))
         .iter()
         .find(|r| r["design"].as_str() == Some("rv32_core"))
-        .and_then(|r| r["cycles_per_sec"].as_f64())
-        .unwrap_or_else(|| panic!("--gate: no rv32_core baseline in {path}"));
+        .unwrap_or_else(|| panic!("--gate: no rv32_core row in {path}"));
+    let field = |name: &str| {
+        row[name]
+            .as_f64()
+            .unwrap_or_else(|| panic!("--gate: the rv32_core row in {path} has no {name}"))
+    };
+    let (baseline, recorded_defs) = (field("cycles_per_sec"), field("defs_per_cycle"));
 
-    let mut runs: Vec<f64> = (0..3)
-        .map(|_| measure_rv32(cycles, warmup).cycles_per_sec)
-        .collect();
+    let rows: Vec<Row> = (0..3).map(|_| measure_rv32(cycles, warmup)).collect();
+    // Compared as whole counts over the window, so a decimal
+    // rendering of the per-cycle figure cannot blur the check.
+    let expected_defs = (recorded_defs * cycles as f64).round();
+    for r in &rows {
+        let defs = (r.defs_per_cycle * cycles as f64).round();
+        assert_eq!(
+            defs, expected_defs,
+            "rv32_core evaluated {defs} definitions in its {cycles}-cycle window, \
+             the recorded {recorded_defs} per cycle make {expected_defs}"
+        );
+    }
+    let mut runs: Vec<f64> = rows.iter().map(|r| r.cycles_per_sec).collect();
     runs.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
     let measured = runs[1];
     let floor = baseline * 0.95;
     println!(
         "{{\"gate\": \"sim_throughput\", \"design\": \"rv32_core\", \
-         \"baseline\": {baseline:.0}, \"measured\": {measured:.0}, \"floor\": {floor:.0}}}"
+         \"baseline\": {baseline:.0}, \"measured\": {measured:.0}, \"floor\": {floor:.0}, \
+         \"defs_per_cycle\": {recorded_defs}}}"
     );
     assert!(
         measured >= floor,
@@ -230,8 +268,8 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         println!(
-            "    {{\"design\": \"{}\", \"cycles\": {}, \"warmup\": {}, \"checkpoint_every\": {}, \"cycles_per_sec\": {:.0}}}{}",
-            r.design, r.cycles, r.warmup, r.checkpoint_every, r.cycles_per_sec, comma
+            "    {{\"design\": \"{}\", \"cycles\": {}, \"warmup\": {}, \"checkpoint_every\": {}, \"cycles_per_sec\": {:.0}, \"defs_per_cycle\": {}}}{}",
+            r.design, r.cycles, r.warmup, r.checkpoint_every, r.cycles_per_sec, r.defs_per_cycle, comma
         );
     }
     println!("  ]{}", if overhead.is_some() { "," } else { "" });

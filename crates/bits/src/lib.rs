@@ -181,15 +181,27 @@ impl Bits {
 
     /// Creates a vector from little-endian 64-bit words, truncating to
     /// `width`.
+    #[inline]
     pub fn from_words(words: &[u64], width: u32) -> Self {
         assert!(width > 0, "Bits width must be at least 1");
         if width <= 64 {
             return Bits::from_inline(words.first().copied().unwrap_or(0), width);
         }
-        let mut b = Bits::zero(width);
-        for (dst, src) in b.words_mut().iter_mut().zip(words.iter()) {
-            *dst = *src;
-        }
+        // Copied rather than zero-filled first: a zeroed allocation
+        // costs more than the copy itself at these sizes.
+        let n = words_for(width);
+        let v = match words.get(..n) {
+            Some(exact) => exact.to_vec(),
+            None => {
+                let mut v = words.to_vec();
+                v.resize(n, 0);
+                v
+            }
+        };
+        let mut b = Bits {
+            width,
+            repr: Repr::Heap(v),
+        };
         b.mask_top();
         b
     }

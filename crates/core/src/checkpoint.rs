@@ -36,16 +36,16 @@ impl Default for CheckpointConfig {
     fn default() -> CheckpointConfig {
         CheckpointConfig {
             // One checkpoint per service execution slice (2048 cycles).
-            // Snapshots deep-copy all signal values and memories (~265 KB
-            // for the rv32 core), so the cadence is the overhead knob.
-            // At 2048, capturing costs the executing rv32 core 0.62% of
+            // A snapshot copies the simulator's word store (~66 KB for
+            // the rv32 core), so the cadence is the overhead knob. At
+            // 2048, capturing costs the executing rv32 core 0.09% of
             // its throughput: `checkpoint_overhead` in
             // BENCH_sim_throughput.json, from `sim_throughput
-            // --checkpoint-every 2048`, median of 3 runs on a 2-vCPU
+            // --checkpoint-every 2048`, median of 5 runs on a 2-vCPU
             // Xeon container. The price is replay: a rewind re-simulates
-            // up to `interval` cycles, 6–8 ms for rv32 at the 3–4 µs
-            // per cycle that hgdb-bench's `sim.step_ns` reads on the
-            // same host.
+            // up to `interval` cycles, about 2.7 ms for rv32 at the
+            // ~1.3 µs per cycle that hgdb-bench's `sim.step_ns` reads on
+            // the same host.
             interval: 2048,
             max_bytes: 64 << 20,
         }

@@ -20,10 +20,14 @@
 //!
 //! # Fast paths
 //!
-//! Combinational logic executes as compiled bytecode over an
-//! incremental dirty set (see the [`Simulator`] docs): one sweep walks
-//! the definitions in topological order, state changes re-evaluate
-//! only their fan-out cone, and values ≤ 64 bits never touch the heap.
+//! Every signal value and memory word lives in flat `u64` arrays, and
+//! combinational logic executes as compiled bytecode over them, driven
+//! by an incremental dirty set (see the [`Simulator`] docs): one sweep
+//! walks the definitions in topological order, state changes
+//! re-evaluate only their fan-out cone, and an expression whose every
+//! node fits one word runs as single-word ops whose widths and masks
+//! were fixed at compile time. A [`Snapshot`] is a copy of those
+//! arrays. `Bits` values are built only at the API boundary.
 //! Per-cycle instrumentation should intern paths once with
 //! [`Simulator::signal_id`] (or [`SimControl::signal_id`] when written
 //! against the trait) and read through [`Simulator::peek_id`] /

@@ -1,10 +1,12 @@
 //! Hierarchy flattening and netlist compilation.
 //!
 //! The Low-form circuit is flattened into a single namespace of
-//! dotted full paths (`top.u0.sum_1`), expressions are compiled first
-//! into an index-resolved tree ([`CExpr`]) and from there into flat
-//! postorder bytecode (see [`crate::compile`]) so evaluation never
-//! touches strings or heap-allocated tree nodes. Combinational
+//! dotted full paths (`top.u0.sum_1`), every signal and memory gets its
+//! place in the simulator's flat word store ([`Layout`]), and
+//! expressions are compiled first into an index-resolved tree
+//! ([`CExpr`]) and from there into flat postorder bytecode (see
+//! [`crate::compile`]) so evaluation never touches strings or
+//! heap-allocated tree nodes. Combinational
 //! definitions are kept in the topological order Kahn's algorithm
 //! gives them, so one linear sweep per cycle reaches the zero-delay
 //! fixpoint — the property §3 of the paper relies on ("all logical
@@ -13,12 +15,13 @@
 //! by a change.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use bits::Bits;
 use hgf_ir::expr::{BinaryOp, Expr, UnaryOp};
 use hgf_ir::{Circuit, PortDir, SignalKind, Stmt};
 
-use crate::compile::{dependents, topo_order, CodeRange, Program};
+use crate::compile::{dependents, topo_order, Code, Program};
 use crate::control::{HierNode, SimError};
 
 /// Compiled expression with signal references resolved to indices.
@@ -44,7 +47,7 @@ impl CExpr {
     /// [`crate::compile`]); production evaluation always runs the
     /// compiled program.
     #[cfg(test)]
-    pub(crate) fn eval(&self, values: &[Bits], mems: &[MemState]) -> Bits {
+    pub(crate) fn eval(&self, values: &[Bits], mems: &[RefMem]) -> Bits {
         use hgf_ir::expr::apply_binary;
         match self {
             CExpr::Lit(b) => b.clone(),
@@ -122,30 +125,132 @@ impl CExpr {
     }
 }
 
-/// Simulated memory contents.
+/// A memory's contents as the tree-walking reference evaluator reads
+/// them: one `Bits` per entry.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub(crate) struct MemState {
+pub(crate) struct RefMem {
     pub(crate) width: u32,
     pub(crate) words: Vec<Bits>,
 }
 
-/// A register: signal index, optional compiled next-value expression
-/// (absent means the register holds), optional synchronous reset
-/// value.
+/// Number of `u64` words that hold a value of `width` bits.
+pub(crate) fn words_for(width: u32) -> usize {
+    width.div_ceil(64) as usize
+}
+
+/// One memory's place in the flat memory words: `depth` entries of
+/// [`MemLayout::stride`] words each, starting at word `base`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemLayout {
+    pub(crate) width: u32,
+    pub(crate) depth: u32,
+    pub(crate) base: u32,
+}
+
+impl MemLayout {
+    /// Words per entry.
+    pub(crate) fn stride(&self) -> usize {
+        words_for(self.width)
+    }
+
+    /// The words of entry `addr`, or `None` past the last entry.
+    pub(crate) fn entry(&self, addr: u64) -> Option<Range<usize>> {
+        if addr >= u64::from(self.depth) {
+            return None;
+        }
+        let start = self.base as usize + addr as usize * self.stride();
+        Some(start..start + self.stride())
+    }
+}
+
+/// Where each signal and memory lives in the simulator's flat `u64`
+/// word store. A signal of width w owns ⌈w/64⌉ consecutive words, with
+/// the bits above w kept zero (the `Bits` invariant); a memory owns
+/// `depth × ⌈width/64⌉` words.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Layout {
+    /// Width of each signal slot.
+    pub(crate) widths: Vec<u32>,
+    /// First word of each signal slot, plus one closing entry.
+    pub(crate) sig_off: Vec<u32>,
+    pub(crate) mems: Vec<MemLayout>,
+    /// Words of all memories together.
+    pub(crate) mem_words: usize,
+}
+
+impl Layout {
+    /// Lays out signals of the given widths and memories of the given
+    /// `(width, depth)` shapes, each in declaration order.
+    pub(crate) fn new(widths: Vec<u32>, mems: &[(u32, u32)]) -> Layout {
+        let mut sig_off = Vec::with_capacity(widths.len() + 1);
+        let mut next = 0usize;
+        for &w in &widths {
+            sig_off.push(next as u32);
+            next += words_for(w);
+        }
+        sig_off.push(next as u32);
+        let mut base = 0usize;
+        let mems = mems
+            .iter()
+            .map(|&(width, depth)| {
+                let m = MemLayout {
+                    width,
+                    depth,
+                    base: base as u32,
+                };
+                base += depth as usize * m.stride();
+                m
+            })
+            .collect();
+        Layout {
+            widths,
+            sig_off,
+            mems,
+            mem_words: base,
+        }
+    }
+
+    /// The words of signal slot `sig`.
+    #[inline]
+    pub(crate) fn sig(&self, sig: usize) -> Range<usize> {
+        self.sig_off[sig] as usize..self.sig_off[sig + 1] as usize
+    }
+
+    /// Words of all signals together.
+    pub(crate) fn sig_words(&self) -> usize {
+        *self.sig_off.last().expect("closing offset") as usize
+    }
+
+    /// Signal `sig` read out of `words` as a `Bits` of its width.
+    #[inline]
+    pub(crate) fn load(&self, words: &[u64], sig: usize) -> Bits {
+        Bits::from_words(&words[self.sig(sig)], self.widths[sig])
+    }
+}
+
+/// A register: signal index, compiled next-value expression (a
+/// register nothing drives holds: its next value is itself), optional
+/// synchronous reset value as words of the register's width, and
+/// where its next value is latched at each edge.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatReg {
     pub(crate) sig: usize,
-    pub(crate) next: Option<CodeRange>,
-    pub(crate) init: Option<Bits>,
+    pub(crate) next: Code,
+    pub(crate) init: Option<Vec<u64>>,
+    /// First word of this register in the latched register words.
+    pub(crate) latch: usize,
 }
 
 /// A synchronous memory write port (compiled address/data/enable).
 #[derive(Debug, Clone)]
 pub(crate) struct FlatWrite {
     pub(crate) mem: usize,
-    pub(crate) addr: CodeRange,
-    pub(crate) data: CodeRange,
-    pub(crate) en: CodeRange,
+    pub(crate) addr: Code,
+    pub(crate) data: Code,
+    pub(crate) en: Code,
+    /// First word of this port's data in the latched write words.
+    pub(crate) latch: usize,
 }
 
 /// One combinational definition: target signal slot and its compiled
@@ -153,7 +258,7 @@ pub(crate) struct FlatWrite {
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledDef {
     pub(crate) sig: usize,
-    pub(crate) code: CodeRange,
+    pub(crate) code: Code,
 }
 
 /// The flattened, compiled design.
@@ -165,16 +270,20 @@ pub(crate) struct CompiledDef {
 pub struct FlatNetlist {
     pub(crate) names: Vec<String>,
     pub(crate) index: HashMap<String, usize>,
-    pub(crate) widths: Vec<u32>,
+    /// Signal widths and the word store's shape.
+    pub(crate) layout: Layout,
     /// Shared bytecode for all compiled expressions.
     pub(crate) program: Program,
     /// Combinational definitions in Kahn's topological order.
     pub(crate) defs: Vec<CompiledDef>,
     pub(crate) regs: Vec<FlatReg>,
-    pub(crate) mems: Vec<MemState>,
+    /// Words of all latched register next values together.
+    pub(crate) reg_words: usize,
     /// Memory path → index (mirrors `index` for the signal namespace).
     pub(crate) mem_index: HashMap<String, usize>,
     pub(crate) writes: Vec<FlatWrite>,
+    /// Words of all latched write-port data together.
+    pub(crate) port_words: usize,
     /// Per-signal pokeability: top-level input ports plus `reset`.
     pub(crate) is_input: Vec<bool>,
     /// Per-signal register flag (targets of `set_value` forcing).
@@ -265,8 +374,10 @@ impl FlatNetlist {
             }
         };
 
-        // Lower every expression to bytecode, defs in topological order,
-        // and record each def's direct fan-in for the fan-out graph.
+        // Place every signal and memory in the word store, lower every
+        // expression to bytecode, defs in topological order, and record
+        // each def's direct fan-in for the fan-out graph.
+        let layout = Layout::new(b.widths, &b.mems);
         let mut program = Program::default();
         let mut defs = Vec::with_capacity(n);
         let mut sig_fanout: Vec<Vec<u32>> = vec![Vec::new(); b.names.len()];
@@ -274,7 +385,7 @@ impl FlatNetlist {
         for &raw_di in &order {
             let (sig, expr) = &b.raw_defs[raw_di];
             let di = defs.len() as u32;
-            let code = program.compile(expr);
+            let code = program.compile(expr, &layout);
             let mut deps = Vec::new();
             expr.deps(&mut deps);
             deps.sort_unstable();
@@ -292,23 +403,37 @@ impl FlatNetlist {
             defs.push(CompiledDef { sig: *sig, code });
         }
 
+        let mut reg_words = 0;
         let regs: Vec<FlatReg> = b
             .raw_regs
             .iter()
-            .map(|r| FlatReg {
-                sig: r.sig,
-                next: r.next.as_ref().map(|e| program.compile(e)),
-                init: r.init.clone(),
+            .map(|r| {
+                let width = layout.widths[r.sig];
+                let hold = CExpr::Sig(r.sig);
+                let reg = FlatReg {
+                    sig: r.sig,
+                    next: program.compile(r.next.as_ref().unwrap_or(&hold), &layout),
+                    init: r.init.as_ref().map(|v| v.resize(width).words().to_vec()),
+                    latch: reg_words,
+                };
+                reg_words += words_for(width);
+                reg
             })
             .collect();
+        let mut port_words = 0;
         let writes: Vec<FlatWrite> = b
             .raw_writes
             .iter()
-            .map(|w| FlatWrite {
-                mem: w.mem,
-                addr: program.compile(&w.addr),
-                data: program.compile(&w.data),
-                en: program.compile(&w.en),
+            .map(|w| {
+                let port = FlatWrite {
+                    mem: w.mem,
+                    addr: program.compile(&w.addr, &layout),
+                    data: program.compile(&w.data, &layout),
+                    en: program.compile(&w.en, &layout),
+                    latch: port_words,
+                };
+                port_words += layout.mems[w.mem].stride();
+                port
             })
             .collect();
 
@@ -320,13 +445,14 @@ impl FlatNetlist {
         Ok(FlatNetlist {
             names: b.names,
             index: b.index,
-            widths: b.widths,
+            layout,
             program,
             defs,
             regs,
-            mems: b.mems,
+            reg_words,
             mem_index: b.mem_index,
             writes,
+            port_words,
             is_input,
             is_reg,
             reset,
@@ -351,7 +477,7 @@ impl FlatNetlist {
 
     /// Width in bits of the signal at `slot`.
     pub fn signal_width(&self, slot: usize) -> u32 {
-        self.widths[slot]
+        self.layout.widths[slot]
     }
 
     /// Whether the signal at `slot` is a register.
@@ -454,7 +580,8 @@ struct Builder<'a> {
     widths: Vec<u32>,
     raw_defs: Vec<(usize, CExpr)>,
     raw_regs: Vec<RawReg>,
-    mems: Vec<MemState>,
+    /// `(width, depth)` of each memory.
+    mems: Vec<(u32, u32)>,
     mem_index: HashMap<String, usize>,
     raw_writes: Vec<RawWrite>,
 }
@@ -497,10 +624,7 @@ impl Builder<'_> {
                 } => {
                     let full = format!("{prefix}.{name}");
                     let idx = self.mems.len();
-                    self.mems.push(MemState {
-                        width: *width,
-                        words: vec![Bits::zero(*width); *depth as usize],
-                    });
+                    self.mems.push((*width, *depth));
                     self.mem_index.insert(full, idx);
                 }
                 Stmt::Instance {

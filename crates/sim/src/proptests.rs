@@ -16,7 +16,7 @@ use bits::Bits;
 use hgf::{CircuitBuilder, Signal};
 use proptest::prelude::*;
 
-use crate::compile::{topo_order, Op};
+use crate::compile::{topo_order, Op, WordOp};
 use crate::netlist::FlatNetlist;
 use crate::{SimConfig, SimControl, Simulator};
 
@@ -390,7 +390,7 @@ proptest! {
 
     /// No bytecode edge points forward in the def list: every signal a
     /// def reads, recovered straight from the compiled bytecode
-    /// (`Op::Sig` scans) rather than the `CExpr::deps` walk the
+    /// (`Op::Sig` and `WordOp::Sig` scans) rather than the `CExpr::deps` walk the
     /// topological sort consumed, is an input, a register or the
     /// output of an earlier def, so one forward sweep reaches the
     /// zero-delay fixpoint.
@@ -407,15 +407,26 @@ proptest! {
             def_of[def.sig] = di;
         }
         for (di, def) in nl.defs.iter().enumerate() {
-            for pc in def.code.0..def.code.1 {
-                if let Op::Sig(s) = nl.program.ops[pc as usize] {
-                    let s = s as usize;
-                    prop_assert!(
-                        nl.is_input[s] || nl.is_reg[s] || def_of[s] < di,
-                        "def {} reads {} before it is defined (seed {})",
-                        di, nl.names[s], seed
-                    );
-                }
+            // Both instruction forms name a signal by its first word.
+            let slot = |off: u32| nl.layout.sig_off.partition_point(|&o| o <= off) - 1;
+            let (start, end) = def.code.ops;
+            let mut reads: Vec<usize> = (start..end)
+                .filter_map(|pc| match nl.program.ops[pc as usize] {
+                    Op::Sig { off, .. } => Some(slot(off)),
+                    _ => None,
+                })
+                .collect();
+            let (start, end) = def.code.word.unwrap_or((0, 0));
+            reads.extend((start..end).filter_map(|pc| match nl.program.word_ops[pc as usize] {
+                WordOp::Sig(off) => Some(slot(off)),
+                _ => None,
+            }));
+            for s in reads {
+                prop_assert!(
+                    nl.is_input[s] || nl.is_reg[s] || def_of[s] < di,
+                    "def {} reads {} before it is defined (seed {})",
+                    di, nl.names[s], seed
+                );
             }
         }
     }

@@ -9,28 +9,35 @@
 //!
 //! # Evaluation engine
 //!
-//! Combinational logic runs as compiled bytecode (see
-//! [`crate::compile`]) over a dense value array, driven by an
-//! **incremental dirty set**: every state change (poke, register
-//! commit, memory write) marks only the direct fan-out of the changed
-//! slot, and the levelized sweep walks marked definitions in
-//! topological order, propagating onward only when a definition's
-//! output actually changed. A one-input poke on a large design
-//! therefore costs O(changed cone), not O(design) — and a cycle where
-//! nothing changes (a halted core) costs almost nothing.
+//! All simulation state lives in flat `u64` words: one arena for the
+//! signal values, where a signal of width w owns ⌈w/64⌉ words, and one
+//! word array for the memories, beside the register and write-port
+//! updates latched at the last edge. Combinational logic runs as
+//! compiled bytecode (see [`crate::compile`]) over that store:
+//! expressions whose every node fits a word run single-word ops, wider
+//! ones load `Bits` operands. An **incremental dirty set** drives the
+//! sweep: every state change (poke, register commit, memory write)
+//! marks only the direct fan-out of the changed slot, and the sweep
+//! walks marked definitions in topological order, propagating onward
+//! only when a definition's output actually changed. A one-input poke
+//! on a large design therefore costs O(changed cone), not O(design) —
+//! and a cycle where nothing changes (a halted core) costs almost
+//! nothing. Four-state mode keeps a second plane of the same shape for
+//! the unknown bits; a [`Snapshot`] is a copy of the words.
 //!
-//! Hot callers should resolve paths once via [`Simulator::signal_id`]
-//! and use [`Simulator::peek_id`] / [`Simulator::poke_id`]; the
-//! string-keyed entry points remain for interactive use.
+//! `Bits` and `Bits4` appear only at the API boundary. Hot callers
+//! should resolve paths once via [`Simulator::signal_id`] and use
+//! [`Simulator::peek_id`] / [`Simulator::poke_id`]; the string-keyed
+//! entry points remain for interactive use.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use bits::{Bits, Bits4};
 use hgf_ir::Circuit;
 
-use crate::compile::{exec, exec4, Planes};
+use crate::compile::{exec, exec4, exec_word, Code, Planes, Words};
 use crate::control::{HierNode, SignalId, SimControl, SimError};
-use crate::netlist::{FlatNetlist, FlatReg, MemState};
+use crate::netlist::{words_for, CompiledDef, FlatNetlist};
 
 /// Evaluation-engine configuration for [`Simulator`].
 ///
@@ -128,7 +135,7 @@ impl ClockView<'_> {
 /// Which combinational definitions need re-evaluation, tracked per
 /// def in topological order. `min` bounds the sweep's starting point;
 /// `count` makes the all-clean check O(1).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DirtySet {
     flags: Vec<bool>,
     count: usize,
@@ -146,42 +153,143 @@ impl DirtySet {
             }
         }
     }
+
+    fn mark_all(&mut self, defs: &[u32]) {
+        for &di in defs {
+            self.mark(di);
+        }
+    }
 }
 
-/// A compiled, runnable design.
-pub struct Simulator {
-    netlist: FlatNetlist,
-    values: RefCell<Vec<Bits>>,
-    /// Unknown plane per signal, parallel to `values` and kept in
-    /// X-normal form (`values[i] | unks[i] == values[i]`). Empty in
-    /// two-state mode — the default engine never allocates or touches
-    /// it.
-    unks: RefCell<Vec<Bits>>,
-    mems: RefCell<Vec<MemState>>,
-    /// Unknown plane per memory word, parallel to `mems[i].words`.
-    /// Empty in two-state mode.
-    munks: RefCell<Vec<Vec<Bits>>>,
-    dirty: RefCell<DirtySet>,
-    /// Scratch operand stack for the bytecode evaluator, preallocated
-    /// to the program's exact worst-case depth.
-    stack: RefCell<Vec<Bits>>,
-    /// Four-state twin of `stack`; empty in two-state mode.
-    stack4: RefCell<Vec<Bits4>>,
+/// One plane of the word store: the values, or in four-state mode the
+/// unknown bits beside them, with the same layout.
+#[derive(Debug, Clone, Default)]
+struct Plane {
+    /// Signal words; slot `i` owns `Layout::sig(i)`.
+    sigs: Vec<u64>,
+    /// Memory words; see `MemLayout`.
+    mems: Vec<u64>,
+    /// Register next values latched at the last edge, each register at
+    /// its `FlatReg::latch`.
+    regs: Vec<u64>,
+    /// Write-port data latched at the last edge, each port at its
+    /// `FlatWrite::latch`, already resized to its memory's width.
+    ports: Vec<u64>,
+}
+
+impl Plane {
+    /// A plane shaped for `nl` with every word zero.
+    fn zeroed(nl: &FlatNetlist) -> Plane {
+        Plane {
+            sigs: vec![0; nl.layout.sig_words()],
+            mems: vec![0; nl.layout.mem_words],
+            regs: vec![0; nl.reg_words],
+            ports: vec![0; nl.port_words],
+        }
+    }
+
+    fn words(&self) -> Words<'_> {
+        Words {
+            sigs: &self.sigs,
+            mems: &self.mems,
+        }
+    }
+
+    /// The readable words beside the writable latch buffers.
+    fn split(&mut self) -> (Words<'_>, &mut [u64], &mut [u64]) {
+        let words = Words {
+            sigs: &self.sigs,
+            mems: &self.mems,
+        };
+        (words, &mut self.regs, &mut self.ports)
+    }
+
+    fn shape(&self) -> [usize; 4] {
+        [
+            self.sigs.len(),
+            self.mems.len(),
+            self.regs.len(),
+            self.ports.len(),
+        ]
+    }
+
+    /// Copies `other` in place; allocates nothing when shapes match.
+    fn copy_from(&mut self, other: &Plane) {
+        self.sigs.clone_from(&other.sigs);
+        self.mems.clone_from(&other.mems);
+        self.regs.clone_from(&other.regs);
+        self.ports.clone_from(&other.ports);
+    }
+}
+
+/// Every piece of mutable simulation state except the clock: what a
+/// [`Snapshot`] copies.
+#[derive(Debug, Clone)]
+struct State {
+    val: Plane,
+    /// The unknown plane, kept in X-normal form (`val | unk == val`).
+    /// Every vector is empty in two-state mode.
+    unk: Plane,
+    /// The address each write port latched at the last edge, or `None`
+    /// when it writes nothing.
+    writes: Vec<Option<u64>>,
+    dirty: DirtySet,
     /// Total combinational definitions executed (instrumentation; the
     /// incremental-evaluation regression tests assert on this).
-    evals: Cell<u64>,
+    evals: u64,
+}
+
+impl State {
+    /// Copies `other` in place; allocates nothing when shapes match.
+    fn copy_from(&mut self, other: &State) {
+        self.val.copy_from(&other.val);
+        self.unk.copy_from(&other.unk);
+        self.writes.clone_from(&other.writes);
+        self.dirty.flags.clone_from(&other.dirty.flags);
+        self.dirty.count = other.dirty.count;
+        self.dirty.min = other.dirty.min;
+        self.evals = other.evals;
+    }
+}
+
+/// Scratch operand stacks for the bytecode executors, preallocated to
+/// the program's exact worst-case depth.
+#[derive(Debug, Default)]
+struct Scratch {
+    words: Vec<u64>,
+    bits: Vec<Bits>,
+    bits4: Vec<Bits4>,
+}
+
+/// Writes `src` over `dst`, words of the same slot shape; returns
+/// whether they differed.
+#[inline]
+fn store(dst: &mut [u64], src: &[u64]) -> bool {
+    debug_assert_eq!(dst.len(), src.len());
+    let mut changed = false;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        changed |= *d != s;
+        *d = s;
+    }
+    changed
+}
+
+/// Zeroes `dst`; returns whether it held a set bit.
+#[inline]
+fn clear(dst: &mut [u64]) -> bool {
+    if dst.iter().all(|&w| w == 0) {
+        return false;
+    }
+    dst.fill(0);
+    true
+}
+
+/// A compiled simulator: the flattened design and its word store.
+pub struct Simulator {
+    netlist: FlatNetlist,
+    state: RefCell<State>,
+    scratch: RefCell<Scratch>,
     time: u64,
-    /// Register/memory updates latched at the current clock edge from
-    /// the then-stable values; committed when the next edge begins.
-    /// Latching (rather than recomputing at commit time) keeps the
-    /// edge deterministic even if the testbench pokes inputs while
-    /// paused at the edge. The buffers are reused across cycles.
-    pending_regs: Vec<(usize, Bits)>,
-    pending_mems: Vec<(usize, usize, Bits)>,
-    /// Four-state twins of the pending buffers; used instead of the
-    /// two-state pair when `four_state` is set.
-    pending_regs4: Vec<(usize, Bits4)>,
-    pending_mems4: Vec<(usize, usize, Bits4)>,
     started: bool,
     callbacks: Vec<(CallbackId, ClockCallback)>,
     next_callback: usize,
@@ -194,7 +302,7 @@ impl std::fmt::Debug for Simulator {
         f.debug_struct("Simulator")
             .field("signals", &self.netlist.names.len())
             .field("regs", &self.netlist.regs.len())
-            .field("mems", &self.netlist.mems.len())
+            .field("mems", &self.netlist.layout.mems.len())
             .field("time", &self.time)
             .finish()
     }
@@ -221,72 +329,59 @@ impl Simulator {
     pub fn with_config(circuit: &Circuit, config: SimConfig) -> Result<Simulator, SimError> {
         let netlist = FlatNetlist::build(circuit)?;
         let four = config.four_state;
-        // Four-state power-up: every signal all-X (X-normal form keeps
-        // the value plane at ones wherever the unknown plane is set).
-        // Memories power up known-zero — a documented simplification
-        // matching the two-state engine's word arrays.
-        let values: Vec<Bits> = netlist
-            .widths
-            .iter()
-            .map(|&w| if four { Bits::ones(w) } else { Bits::zero(w) })
-            .collect();
-        let unks: Vec<Bits> = if four {
-            netlist.widths.iter().map(|&w| Bits::ones(w)).collect()
+        let mut val = Plane::zeroed(&netlist);
+        let unk = if four {
+            // Four-state power-up: every signal all-X (X-normal form
+            // keeps the value plane at ones wherever the unknown plane
+            // is set). Memories power up known-zero — a documented
+            // simplification matching the two-state engine.
+            for (sig, &w) in netlist.layout.widths.iter().enumerate() {
+                let ones = Bits::ones(w);
+                val.sigs[netlist.layout.sig(sig)].copy_from_slice(ones.words());
+            }
+            let mut unk = Plane::zeroed(&netlist);
+            unk.sigs.copy_from_slice(&val.sigs);
+            unk
         } else {
-            Vec::new()
-        };
-        let munks: Vec<Vec<Bits>> = if four {
-            netlist
-                .mems
-                .iter()
-                .map(|m| vec![Bits::zero(m.width); m.words.len()])
-                .collect()
-        } else {
-            Vec::new()
+            // Registers start at their reset value when they have one —
+            // in two-state mode only. The four-state engine powers
+            // registers up all-X; the init value loads when reset is
+            // asserted (and known true), which is exactly what the mode
+            // exists to check.
+            for reg in &netlist.regs {
+                if let Some(init) = &reg.init {
+                    val.sigs[netlist.layout.sig(reg.sig)].copy_from_slice(init);
+                }
+            }
+            Plane::default()
         };
         let n_defs = netlist.defs.len();
-        let sim = Simulator {
-            mems: RefCell::new(netlist.mems.clone()),
-            values: RefCell::new(values),
-            unks: RefCell::new(unks),
-            munks: RefCell::new(munks),
-            stack: RefCell::new(Vec::with_capacity(netlist.program.max_stack)),
-            stack4: RefCell::new(Vec::with_capacity(if four {
-                netlist.program.max_stack
-            } else {
-                0
-            })),
-            netlist,
-            dirty: RefCell::new(DirtySet {
-                // Everything is dirty before the first sweep.
-                flags: vec![true; n_defs],
-                count: n_defs,
-                min: 0,
+        let max_stack = netlist.program.max_stack;
+        Ok(Simulator {
+            state: RefCell::new(State {
+                val,
+                unk,
+                writes: vec![None; netlist.writes.len()],
+                dirty: DirtySet {
+                    // Everything is dirty before the first sweep.
+                    flags: vec![true; n_defs],
+                    count: n_defs,
+                    min: 0,
+                },
+                evals: 0,
             }),
-            evals: Cell::new(0),
+            scratch: RefCell::new(Scratch {
+                words: vec![0; max_stack],
+                bits: Vec::with_capacity(max_stack),
+                bits4: Vec::with_capacity(if four { max_stack } else { 0 }),
+            }),
+            netlist,
             time: 0,
-            pending_regs: Vec::new(),
-            pending_mems: Vec::new(),
-            pending_regs4: Vec::new(),
-            pending_mems4: Vec::new(),
             started: false,
             callbacks: Vec::new(),
             next_callback: 0,
             four_state: four,
-        };
-        // Registers start at their reset value when they have one — in
-        // two-state mode only. The four-state engine powers registers
-        // up all-X; the init value loads when reset is asserted (and
-        // known true), which is exactly what the mode exists to check.
-        if !four {
-            let mut values = sim.values.borrow_mut();
-            for reg in &sim.netlist.regs {
-                if let Some(init) = &reg.init {
-                    values[reg.sig] = init.clone();
-                }
-            }
-        }
-        Ok(sim)
+        })
     }
 
     /// Number of flattened signals.
@@ -304,44 +399,22 @@ impl Simulator {
             .map(|&i| SignalId::from_index(i))
     }
 
-    /// Marks the direct combinational fan-out of a signal slot dirty.
-    fn mark_sig(&self, sig: usize) {
-        let fanout = &self.netlist.sig_fanout[sig];
-        if fanout.is_empty() {
-            return;
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        for &di in fanout {
-            dirty.mark(di);
-        }
-    }
-
     /// Writes a pokeable slot: resize, change-detect, mark fan-out.
     /// Pokes always carry fully-known values; in four-state mode the
     /// slot's unknown plane is cleared (this is how an X input
     /// resolves).
-    fn poke_sig(&mut self, sig: usize, value: Bits) {
-        let width = self.netlist.widths[sig];
-        let value = value.resize(width);
-        {
-            let mut values = self.values.borrow_mut();
-            let unk_cleared = if self.is_four_state() {
-                let mut unks = self.unks.borrow_mut();
-                if unks[sig].is_zero() {
-                    false
-                } else {
-                    unks[sig] = Bits::zero(width);
-                    true
-                }
-            } else {
-                false
-            };
-            if values[sig] == value && !unk_cleared {
-                return;
-            }
-            values[sig] = value;
+    fn poke_sig(&mut self, sig: usize, value: &Bits) {
+        let nl = &self.netlist;
+        let state = self.state.get_mut();
+        let slot = nl.layout.sig(sig);
+        let value = value.resize(nl.layout.widths[sig]);
+        let mut changed = store(&mut state.val.sigs[slot.clone()], value.words());
+        if self.four_state {
+            changed |= clear(&mut state.unk.sigs[slot]);
         }
-        self.mark_sig(sig);
+        if changed {
+            state.dirty.mark_all(&nl.sig_fanout[sig]);
+        }
     }
 
     /// Whether this simulator runs the four-state (X/Z) engine.
@@ -364,7 +437,7 @@ impl Simulator {
         if !self.netlist.is_input[sig] {
             return Err(SimError::NotWritable(path.to_owned()));
         }
-        self.poke_sig(sig, value);
+        self.poke_sig(sig, &value);
         Ok(())
     }
 
@@ -383,7 +456,7 @@ impl Simulator {
         if !self.netlist.is_input[sig] {
             return Err(SimError::NotWritable(self.netlist.names[sig].clone()));
         }
-        self.poke_sig(sig, value);
+        self.poke_sig(sig, &value);
         Ok(())
     }
 
@@ -405,13 +478,14 @@ impl Simulator {
     /// Panics if the id does not come from this design.
     pub fn peek_id(&self, id: SignalId) -> Bits {
         self.eval_if_dirty();
-        self.values.borrow()[id.index()].clone()
+        self.netlist
+            .layout
+            .load(&self.state.borrow().val.sigs, id.index())
     }
 
     fn peek_path(&self, path: &str) -> Option<Bits> {
         let &sig = self.netlist.index.get(path)?;
-        self.eval_if_dirty();
-        Some(self.values.borrow()[sig].clone())
+        Some(self.peek_id(SignalId::from_index(sig)))
     }
 
     /// Four-state [`Simulator::peek`]: the value with its unknown
@@ -432,10 +506,11 @@ impl Simulator {
     /// Panics if the id does not come from this design.
     pub fn peek4_id(&self, id: SignalId) -> Bits4 {
         self.eval_if_dirty();
-        let sig = id.index();
-        let val = self.values.borrow()[sig].clone();
-        if self.is_four_state() {
-            Bits4::from_planes(val, self.unks.borrow()[sig].clone())
+        let state = self.state.borrow();
+        let layout = &self.netlist.layout;
+        let val = layout.load(&state.val.sigs, id.index());
+        if self.four_state {
+            Bits4::from_planes(val, layout.load(&state.unk.sigs, id.index()))
         } else {
             Bits4::known(val)
         }
@@ -450,20 +525,25 @@ impl Simulator {
     /// not part of the signal namespace).
     pub fn peek_mem(&self, mem_path: &str, addr: usize) -> Option<Bits> {
         let &idx = self.netlist.mem_index.get(mem_path)?;
-        self.mems.borrow().get(idx)?.words.get(addr).cloned()
+        let mem = self.netlist.layout.mems[idx];
+        let entry = mem.entry(addr as u64)?;
+        Some(Bits::from_words(
+            &self.state.borrow().val.mems[entry],
+            mem.width,
+        ))
     }
 
     /// Four-state [`Simulator::peek_mem`]: the word with its unknown
     /// plane.
     pub fn peek_mem4(&self, mem_path: &str, addr: usize) -> Option<Bits4> {
-        let &idx = self.netlist.mem_index.get(mem_path)?;
-        let word = self.mems.borrow().get(idx)?.words.get(addr).cloned()?;
-        if self.is_four_state() {
-            let unk = self.munks.borrow()[idx][addr].clone();
-            Some(Bits4::from_planes(word.or(&unk), unk))
-        } else {
-            Some(Bits4::known(word))
+        let word = self.peek_mem(mem_path, addr)?;
+        if !self.four_state {
+            return Some(Bits4::known(word));
         }
+        let mem = self.netlist.layout.mems[self.netlist.mem_index[mem_path]];
+        let entry = mem.entry(addr as u64)?;
+        let unk = Bits::from_words(&self.state.borrow().unk.mems[entry], mem.width);
+        Some(Bits4::from_planes(word.or(&unk), unk))
     }
 
     /// Writes a memory word directly (program loading in testbenches).
@@ -477,52 +557,22 @@ impl Simulator {
             .mem_index
             .get(mem_path)
             .ok_or_else(|| SimError::UnknownSignal(mem_path.to_owned()))?;
-        let changed = {
-            let mut mems = self.mems.borrow_mut();
-            let mem = &mut mems[idx];
-            let width = mem.width;
-            let slot = mem
-                .words
-                .get_mut(addr)
-                .ok_or_else(|| SimError::UnknownSignal(format!("{mem_path}[{addr}]")))?;
-            let value = value.resize(width);
-            if *slot == value {
-                false
-            } else {
-                *slot = value;
-                true
-            }
-        };
+        let mem = self.netlist.layout.mems[idx];
+        let entry = mem
+            .entry(addr as u64)
+            .ok_or_else(|| SimError::UnknownSignal(format!("{mem_path}[{addr}]")))?;
+        let state = self.state.get_mut();
+        let value = value.resize(mem.width);
+        let mut changed = store(&mut state.val.mems[entry.clone()], value.words());
         // Direct writes are fully known: clear the word's unknown
         // plane in four-state mode.
-        let munk_cleared = if self.is_four_state() {
-            let mut munks = self.munks.borrow_mut();
-            let slot = &mut munks[idx][addr];
-            if slot.is_zero() {
-                false
-            } else {
-                *slot = Bits::zero(slot.width());
-                true
-            }
-        } else {
-            false
-        };
-        if changed || munk_cleared {
-            self.mark_mem(idx);
+        if self.four_state {
+            changed |= clear(&mut state.unk.mems[entry]);
+        }
+        if changed {
+            state.dirty.mark_all(&self.netlist.mem_fanout[idx]);
         }
         Ok(())
-    }
-
-    /// Marks every reader of a memory dirty.
-    fn mark_mem(&self, mem: usize) {
-        let fanout = &self.netlist.mem_fanout[mem];
-        if fanout.is_empty() {
-            return;
-        }
-        let mut dirty = self.dirty.borrow_mut();
-        for &di in fanout {
-            dirty.mark(di);
-        }
     }
 
     /// Registers a rising-clock-edge callback; fires with all signals
@@ -553,9 +603,9 @@ impl Simulator {
     /// reset slot by index — no path lookup.
     pub fn reset(&mut self, cycles: u64) {
         let reset = self.netlist.reset;
-        self.poke_sig(reset, Bits::from_bool(true));
+        self.poke_sig(reset, &Bits::from_bool(true));
         self.run(cycles);
-        self.poke_sig(reset, Bits::from_bool(false));
+        self.poke_sig(reset, &Bits::from_bool(false));
     }
 
     /// Total combinational definitions executed so far
@@ -563,139 +613,100 @@ impl Simulator {
     /// benchmark harnesses read this to verify poke cost is
     /// O(fan-out cone), not O(design)).
     pub fn defs_evaluated(&self) -> u64 {
-        self.evals.get()
+        self.state.borrow().evals
     }
 
     /// Runs the incremental sweep to the zero-delay fixpoint, in the
     /// two- or four-state engine.
     fn eval_if_dirty(&self) {
-        if self.dirty.borrow().count == 0 {
+        let mut state = self.state.borrow_mut();
+        if state.dirty.count == 0 {
             return;
         }
-        if self.is_four_state() {
-            self.eval4_sequential();
-        } else {
-            self.eval_sequential();
-        }
-    }
-
-    /// The sweep: marked definitions execute in topological order; a
-    /// definition whose output is unchanged does not wake its fan-out.
-    fn eval_sequential(&self) {
-        let mut dirty = self.dirty.borrow_mut();
-        let mut values = self.values.borrow_mut();
-        let mems = self.mems.borrow();
-        let mut stack = self.stack.borrow_mut();
+        let mut scratch = self.scratch.borrow_mut();
         let nl = &self.netlist;
-        let n = nl.defs.len();
-        let mut evals = self.evals.get();
-        let mut di = dirty.min;
-        while di < n && dirty.count > 0 {
-            if dirty.flags[di] {
-                dirty.flags[di] = false;
-                dirty.count -= 1;
-                let def = &nl.defs[di];
-                let new = exec(&nl.program, def.code, values.as_slice(), &mems, &mut stack);
-                evals += 1;
-                if values[def.sig] != new {
-                    values[def.sig] = new;
-                    // Fan-out defs are topologically later, so the
-                    // forward sweep will reach them this pass.
-                    for &f in &nl.sig_fanout[def.sig] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-            di += 1;
-        }
-        dirty.min = n;
-        debug_assert_eq!(dirty.count, 0, "sweep left dirty defs behind");
-        dirty.count = 0;
-        self.evals.set(evals);
-    }
-
-    /// Four-state twin of [`Simulator::eval_sequential`]: identical
-    /// schedule and change-pruning, with the unknown plane carried
-    /// alongside every value. On a fully-driven design the unknown
-    /// planes stay zero and the sweep visits exactly the defs the
-    /// two-state engine would.
-    fn eval4_sequential(&self) {
-        let mut dirty = self.dirty.borrow_mut();
-        let mut values = self.values.borrow_mut();
-        let mut unks = self.unks.borrow_mut();
-        let mems = self.mems.borrow();
-        let munks = self.munks.borrow();
-        let mut stack4 = self.stack4.borrow_mut();
-        let nl = &self.netlist;
-        let n = nl.defs.len();
-        let mut evals = self.evals.get();
-        let mut di = dirty.min;
-        while di < n && dirty.count > 0 {
-            if dirty.flags[di] {
-                dirty.flags[di] = false;
-                dirty.count -= 1;
-                let def = &nl.defs[di];
-                let src = Planes {
-                    vals: values.as_slice(),
-                    unks: unks.as_slice(),
+        let layout = &nl.layout;
+        let State {
+            val,
+            unk,
+            dirty,
+            evals,
+            ..
+        } = &mut *state;
+        if self.four_state {
+            let stack = &mut scratch.bits4;
+            sweep(nl, dirty, evals, |def| {
+                let planes = Planes {
+                    layout,
+                    val: val.words(),
+                    unk: unk.words(),
                 };
-                let new = exec4(&nl.program, def.code, &src, &mems, &munks, &mut stack4);
-                evals += 1;
-                if values[def.sig] != *new.value() || unks[def.sig] != *new.unknown() {
-                    values[def.sig] = new.value().clone();
-                    unks[def.sig] = new.unknown().clone();
-                    for &f in &nl.sig_fanout[def.sig] {
-                        dirty.mark(f);
-                    }
+                let new = exec4(&nl.program, def.code.ops, planes, stack);
+                let slot = layout.sig(def.sig);
+                store(&mut val.sigs[slot.clone()], new.value().words())
+                    | store(&mut unk.sigs[slot], new.unknown().words())
+            });
+        } else {
+            let Scratch { words, bits, .. } = &mut *scratch;
+            sweep(nl, dirty, evals, |def| match def.code.word {
+                Some(range) => {
+                    let new = exec_word(&nl.program, range, val.words(), words);
+                    let slot = &mut val.sigs[layout.sig_off[def.sig] as usize];
+                    let changed = *slot != new;
+                    *slot = new;
+                    changed
                 }
-            }
-            di += 1;
+                None => {
+                    let dst = layout.sig(def.sig);
+                    if let Some(src) = def.code.copy_of {
+                        let src = layout.sig(src);
+                        let changed = val.sigs[src.clone()] != val.sigs[dst.clone()];
+                        val.sigs.copy_within(src, dst.start);
+                        return changed;
+                    }
+                    let new = exec(&nl.program, layout, def.code.ops, val.words(), bits);
+                    store(&mut val.sigs[dst], new.words())
+                }
+            });
         }
-        dirty.min = n;
-        debug_assert_eq!(dirty.count, 0, "sweep left dirty defs behind");
-        dirty.count = 0;
-        self.evals.set(evals);
     }
 
     /// Latches register updates and memory writes from the current
     /// stable values (non-blocking semantics). Committed at the start
-    /// of the next clock edge.
+    /// of the next clock edge. Latching (rather than recomputing at
+    /// commit time) keeps the edge deterministic even if the testbench
+    /// pokes inputs while paused at the edge.
     fn latch_edge(&mut self) {
         self.eval_if_dirty();
-        if self.is_four_state() {
+        if self.four_state {
             self.latch_edge4();
             return;
         }
-        let Simulator {
-            netlist,
-            values,
-            mems,
-            stack,
-            pending_regs,
-            pending_mems,
-            ..
-        } = self;
-        let values = values.borrow();
-        let mems = mems.borrow();
-        let mut stack = stack.borrow_mut();
-        let reset = values[netlist.reset].is_truthy();
-        pending_regs.clear();
-        pending_mems.clear();
-        let vals: &[Bits] = values.as_slice();
-        let mems_slice: &[MemState] = mems.as_slice();
-        for reg in &netlist.regs {
-            let next = eval_reg_next(netlist, reg, reset, vals, mems_slice, &mut stack);
-            pending_regs.push((reg.sig, next));
-        }
-        if !reset {
-            for w in &netlist.writes {
-                if exec(&netlist.program, w.en, vals, mems_slice, &mut stack).is_truthy() {
-                    let addr = exec(&netlist.program, w.addr, vals, mems_slice, &mut stack).to_u64()
-                        as usize;
-                    let data = exec(&netlist.program, w.data, vals, mems_slice, &mut stack);
-                    pending_mems.push((w.mem, addr, data));
-                }
+        let nl = &self.netlist;
+        let layout = &nl.layout;
+        let scratch = self.scratch.get_mut();
+        let State { val, writes, .. } = self.state.get_mut();
+        let (src, regs, ports) = val.split();
+        let mut eval = |code: Code| eval2(nl, code, src, scratch);
+        let reset = src.sigs[layout.sig_off[nl.reset] as usize] != 0;
+        for reg in &nl.regs {
+            let width = layout.widths[reg.sig];
+            let dst = &mut regs[reg.latch..reg.latch + words_for(width)];
+            match (&reg.init, reg.next.copy_of) {
+                (Some(init), _) if reset => dst.copy_from_slice(init),
+                (_, Some(sig)) => dst.copy_from_slice(&src.sigs[layout.sig(sig)]),
+                _ => eval(reg.next).write(dst, width),
             }
+        }
+        for (port, addr) in nl.writes.iter().zip(writes.iter_mut()) {
+            *addr = None;
+            if reset || !eval(port.en).is_truthy() {
+                continue;
+            }
+            let mem = &layout.mems[port.mem];
+            *addr = Some(eval(port.addr).low_word());
+            let dst = &mut ports[port.latch..port.latch + mem.stride()];
+            eval(port.data).write(dst, mem.width);
         }
     }
 
@@ -713,179 +724,101 @@ impl Simulator {
     /// writes nothing — a documented simplification (a strict
     /// interpretation would X the entire memory).
     fn latch_edge4(&mut self) {
-        let Simulator {
-            netlist,
-            values,
-            unks,
-            mems,
-            munks,
-            stack4,
-            pending_regs4,
-            pending_mems4,
-            ..
-        } = self;
-        let values = values.borrow();
-        let unks = unks.borrow();
-        let mems = mems.borrow();
-        let munks = munks.borrow();
-        let mut stack4 = stack4.borrow_mut();
-        let src = Planes {
-            vals: values.as_slice(),
-            unks: unks.as_slice(),
+        let nl = &self.netlist;
+        let layout = &nl.layout;
+        let stack = &mut self.scratch.get_mut().bits4;
+        let State {
+            val, unk, writes, ..
+        } = self.state.get_mut();
+        let (vals, val_regs, val_ports) = val.split();
+        let (unks, unk_regs, unk_ports) = unk.split();
+        let planes = Planes {
+            layout,
+            val: vals,
+            unk: unks,
         };
-        let mems_slice: &[MemState] = mems.as_slice();
-        let munks_slice: &[Vec<Bits>] = munks.as_slice();
-        let reset = Bits4::from_planes(values[netlist.reset].clone(), unks[netlist.reset].clone())
-            .truthiness();
-        pending_regs4.clear();
-        pending_mems4.clear();
-        for reg in &netlist.regs {
-            let next = eval_reg_next4(
-                netlist,
-                reg,
-                reset,
-                &src,
-                mems_slice,
-                munks_slice,
-                &mut stack4,
-            );
-            pending_regs4.push((reg.sig, next));
+        let mut exec = |code: Code| exec4(&nl.program, code.ops, planes, stack);
+        let reset = planes.get4(nl.reset).truthiness();
+        for reg in &nl.regs {
+            let width = layout.widths[reg.sig];
+            let next = match (reset, &reg.init) {
+                (None, _) => Bits4::all_x(width),
+                (Some(true), Some(init)) => Bits4::known(Bits::from_words(init, width)),
+                // No init: like the two-state engine, the register
+                // ignores reset and follows its next expression (that
+                // is the bug class lint L006 flags — and exactly what
+                // an X sweep makes visible).
+                _ => exec(reg.next),
+            };
+            let latch = reg.latch..reg.latch + words_for(width);
+            val_regs[latch.clone()].copy_from_slice(next.value().words());
+            unk_regs[latch].copy_from_slice(next.unknown().words());
         }
-        if reset == Some(false) {
-            for w in &netlist.writes {
-                let en = exec4(
-                    &netlist.program,
-                    w.en,
-                    &src,
-                    mems_slice,
-                    munks_slice,
-                    &mut stack4,
-                );
-                let en = en.truthiness();
-                if en == Some(false) {
-                    continue;
-                }
-                let addr4 = exec4(
-                    &netlist.program,
-                    w.addr,
-                    &src,
-                    mems_slice,
-                    munks_slice,
-                    &mut stack4,
-                );
-                let Some(addr) = addr4.to_known().map(|a| a.to_u64() as usize) else {
-                    continue;
-                };
-                let data = if en == Some(true) {
-                    exec4(
-                        &netlist.program,
-                        w.data,
-                        &src,
-                        mems_slice,
-                        munks_slice,
-                        &mut stack4,
-                    )
-                } else {
-                    Bits4::all_x(netlist.mems[w.mem].width)
-                };
-                pending_mems4.push((w.mem, addr, data));
+        for (port, addr) in nl.writes.iter().zip(writes.iter_mut()) {
+            *addr = None;
+            if reset != Some(false) {
+                continue;
             }
+            let en = exec(port.en).truthiness();
+            if en == Some(false) {
+                continue;
+            }
+            let Some(known) = exec(port.addr).to_known().map(Bits::to_u64) else {
+                continue;
+            };
+            let mem = &layout.mems[port.mem];
+            let data = match en {
+                Some(true) => exec(port.data).resize(mem.width),
+                _ => Bits4::all_x(mem.width),
+            };
+            let latch = port.latch..port.latch + mem.stride();
+            val_ports[latch.clone()].copy_from_slice(data.value().words());
+            unk_ports[latch].copy_from_slice(data.unknown().words());
+            *addr = Some(known);
         }
     }
 
-    /// Commits the updates latched at the previous edge, marking the
-    /// fan-out of slots that actually changed.
+    /// Commits the updates latched at the previous edge, in both planes
+    /// when there are two, marking the fan-out of slots that actually
+    /// changed.
     fn commit_edge(&mut self) {
-        if self.is_four_state() {
-            self.commit_edge4();
-            return;
-        }
-        if self.pending_regs.is_empty() && self.pending_mems.is_empty() {
-            return;
-        }
-        let Simulator {
-            netlist,
-            values,
-            mems,
+        let nl = &self.netlist;
+        let layout = &nl.layout;
+        let State {
+            val,
+            unk,
+            writes,
             dirty,
-            pending_regs,
-            pending_mems,
             ..
-        } = self;
-        {
-            let mut values = values.borrow_mut();
-            let mut dirty = dirty.borrow_mut();
-            for (sig, v) in pending_regs.drain(..) {
-                if values[sig] != v {
-                    values[sig] = v;
-                    for &f in &netlist.sig_fanout[sig] {
-                        dirty.mark(f);
-                    }
-                }
+        } = self.state.get_mut();
+        let planes = if self.four_state {
+            &mut [val, unk][..]
+        } else {
+            &mut [val][..]
+        };
+        for reg in &nl.regs {
+            let slot = layout.sig(reg.sig);
+            let latch = reg.latch..reg.latch + slot.len();
+            let mut changed = false;
+            for p in planes.iter_mut() {
+                changed |= store(&mut p.sigs[slot.clone()], &p.regs[latch.clone()]);
+            }
+            if changed {
+                dirty.mark_all(&nl.sig_fanout[reg.sig]);
             }
         }
-        let mut mems = mems.borrow_mut();
-        let mut dirty = dirty.borrow_mut();
-        for (mem, addr, data) in pending_mems.drain(..) {
-            let width = mems[mem].width;
-            if let Some(slot) = mems[mem].words.get_mut(addr) {
-                let data = data.resize(width);
-                if *slot != data {
-                    *slot = data;
-                    for &f in &netlist.mem_fanout[mem] {
-                        dirty.mark(f);
-                    }
-                }
+        for (port, addr) in nl.writes.iter().zip(writes.iter()) {
+            let mem = &layout.mems[port.mem];
+            let Some(entry) = addr.and_then(|a| mem.entry(a)) else {
+                continue;
+            };
+            let latch = port.latch..port.latch + mem.stride();
+            let mut changed = false;
+            for p in planes.iter_mut() {
+                changed |= store(&mut p.mems[entry.clone()], &p.ports[latch.clone()]);
             }
-        }
-    }
-
-    /// Four-state twin of [`Simulator::commit_edge`]: drains the
-    /// [`Bits4`] pending buffers, change-detecting on both planes.
-    fn commit_edge4(&mut self) {
-        if self.pending_regs4.is_empty() && self.pending_mems4.is_empty() {
-            return;
-        }
-        let Simulator {
-            netlist,
-            values,
-            unks,
-            mems,
-            munks,
-            dirty,
-            pending_regs4,
-            pending_mems4,
-            ..
-        } = self;
-        {
-            let mut values = values.borrow_mut();
-            let mut unks = unks.borrow_mut();
-            let mut dirty = dirty.borrow_mut();
-            for (sig, v4) in pending_regs4.drain(..) {
-                if values[sig] != *v4.value() || unks[sig] != *v4.unknown() {
-                    values[sig] = v4.value().clone();
-                    unks[sig] = v4.unknown().clone();
-                    for &f in &netlist.sig_fanout[sig] {
-                        dirty.mark(f);
-                    }
-                }
-            }
-        }
-        let mut mems = mems.borrow_mut();
-        let mut munks = munks.borrow_mut();
-        let mut dirty = dirty.borrow_mut();
-        for (mem, addr, data) in pending_mems4.drain(..) {
-            let width = mems[mem].width;
-            if let Some(slot) = mems[mem].words.get_mut(addr) {
-                let data = data.resize(width);
-                let uslot = &mut munks[mem][addr];
-                if *slot != *data.value() || *uslot != *data.unknown() {
-                    *slot = data.value().clone();
-                    *uslot = data.unknown().clone();
-                    for &f in &netlist.mem_fanout[mem] {
-                        dirty.mark(f);
-                    }
-                }
+            if changed {
+                dirty.mark_all(&nl.mem_fanout[port.mem]);
             }
         }
     }
@@ -900,12 +833,12 @@ impl Simulator {
         self.netlist
             .index
             .get(path)
-            .map(|&i| self.netlist.widths[i])
+            .map(|&i| self.netlist.layout.widths[i])
     }
 
     /// Width of a signal by id.
     pub fn signal_width_id(&self, id: SignalId) -> u32 {
-        self.netlist.widths[id.index()]
+        self.netlist.layout.widths[id.index()]
     }
 
     /// The full path of the implicit reset input.
@@ -915,12 +848,11 @@ impl Simulator {
 
     /// Captures a deterministic full-state [`Snapshot`].
     ///
-    /// Every bit of mutable simulation state is copied: signal values,
-    /// memory contents, the pending register/memory latch buffers
-    /// (non-blocking updates latched at the last edge but not yet
-    /// committed), the incremental dirty set, and the time / eval
-    /// counters. Clock callbacks are *not* captured — they are runtime
-    /// hooks, not simulation state.
+    /// Every bit of mutable simulation state is copied: the signal and
+    /// memory words of each plane, the register and memory updates
+    /// latched at the last edge but not yet committed, the incremental
+    /// dirty set, and the time / eval counters. Clock callbacks are
+    /// *not* captured — they are runtime hooks, not simulation state.
     ///
     /// [`Simulator::restore`] of this snapshot followed by replaying
     /// the same stimulus is bit-identical to an uninterrupted run —
@@ -928,20 +860,8 @@ impl Simulator {
     /// the sweep is deterministic and the snapshot preserves the exact
     /// dirty frontier.
     pub fn snapshot(&self) -> Snapshot {
-        let dirty = self.dirty.borrow();
         Snapshot {
-            values: self.values.borrow().clone(),
-            unks: self.unks.borrow().clone(),
-            mems: self.mems.borrow().clone(),
-            munks: self.munks.borrow().clone(),
-            dirty_flags: dirty.flags.clone(),
-            dirty_count: dirty.count,
-            dirty_min: dirty.min,
-            pending_regs: self.pending_regs.clone(),
-            pending_mems: self.pending_mems.clone(),
-            pending_regs4: self.pending_regs4.clone(),
-            pending_mems4: self.pending_mems4.clone(),
-            evals: self.evals.get(),
+            state: self.state.borrow().clone(),
             time: self.time,
             started: self.started,
         }
@@ -949,56 +869,32 @@ impl Simulator {
 
     /// Captures a snapshot into `out`, reusing its buffers.
     ///
-    /// Equivalent to `*out = self.snapshot()` but without reallocating
-    /// when shapes match: a checkpoint ring that recycles evicted
-    /// snapshots as capture buffers keeps steady-state auto-
-    /// checkpointing allocation-free, so the per-capture cost is a
-    /// flat copy instead of an allocator round-trip (large snapshot
-    /// buffers otherwise go through mmap/munmap and re-fault their
-    /// pages on every capture).
+    /// Equivalent to `*out = self.snapshot()` but a plain copy of the
+    /// word arrays, allocating nothing when `out` came from a
+    /// simulator of the same design and mode: a checkpoint ring that
+    /// recycles evicted snapshots as capture buffers pays no allocator
+    /// round-trip per capture.
     pub fn snapshot_into(&self, out: &mut Snapshot) {
-        out.values.clone_from(&self.values.borrow());
-        {
-            let mems = self.mems.borrow();
-            out.mems.truncate(mems.len());
-            for (dst, src) in out.mems.iter_mut().zip(mems.iter()) {
-                dst.width = src.width;
-                dst.words.clone_from(&src.words);
-            }
-            let common = out.mems.len();
-            for src in mems.iter().skip(common) {
-                out.mems.push(src.clone());
-            }
-        }
-        {
-            let dirty = self.dirty.borrow();
-            out.dirty_flags.clone_from(&dirty.flags);
-            out.dirty_count = dirty.count;
-            out.dirty_min = dirty.min;
-        }
-        out.unks.clone_from(&self.unks.borrow());
-        out.munks.clone_from(&self.munks.borrow());
-        out.pending_regs.clone_from(&self.pending_regs);
-        out.pending_mems.clone_from(&self.pending_mems);
-        out.pending_regs4.clone_from(&self.pending_regs4);
-        out.pending_mems4.clone_from(&self.pending_mems4);
-        out.evals = self.evals.get();
+        out.state.copy_from(&self.state.borrow());
         out.time = self.time;
         out.started = self.started;
     }
 
     /// Restores a [`Snapshot`] previously captured from a simulator
     /// built from the same circuit, rewinding (or fast-forwarding)
-    /// every piece of mutable state to the captured instant.
+    /// every piece of mutable state to the captured instant. The words
+    /// are copied in place: a restore allocates nothing.
     ///
     /// # Errors
     ///
     /// [`SimError::Build`] when the snapshot's shape does not match
-    /// this design (it was captured from a different circuit).
+    /// this design (it was captured from a different circuit), or it
+    /// was captured in the other of the two- and four-state modes.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SimError> {
-        if snap.values.len() != self.netlist.names.len()
-            || snap.mems.len() != self.netlist.mems.len()
-            || snap.dirty_flags.len() != self.netlist.defs.len()
+        let state = self.state.get_mut();
+        if snap.state.val.shape() != state.val.shape()
+            || snap.state.writes.len() != state.writes.len()
+            || snap.state.dirty.flags.len() != state.dirty.flags.len()
         {
             return Err(SimError::Build(
                 "snapshot does not match this design".into(),
@@ -1006,56 +902,111 @@ impl Simulator {
         }
         // Unknown planes are only populated in four-state snapshots;
         // the two kinds of simulator cannot exchange state.
-        if snap.unks.len() != self.unks.borrow().len()
-            || snap.munks.len() != self.munks.borrow().len()
-        {
+        if snap.state.unk.shape() != state.unk.shape() {
             return Err(SimError::Build(
                 "snapshot four-state mode does not match this simulator".into(),
             ));
         }
-        *self.values.borrow_mut() = snap.values.clone();
-        *self.unks.borrow_mut() = snap.unks.clone();
-        *self.mems.borrow_mut() = snap.mems.clone();
-        *self.munks.borrow_mut() = snap.munks.clone();
-        {
-            let mut dirty = self.dirty.borrow_mut();
-            dirty.flags.clone_from(&snap.dirty_flags);
-            dirty.count = snap.dirty_count;
-            dirty.min = snap.dirty_min;
-        }
-        self.pending_regs.clone_from(&snap.pending_regs);
-        self.pending_mems.clone_from(&snap.pending_mems);
-        self.pending_regs4.clone_from(&snap.pending_regs4);
-        self.pending_mems4.clone_from(&snap.pending_mems4);
-        self.evals.set(snap.evals);
+        state.copy_from(&snap.state);
         self.time = snap.time;
         self.started = snap.started;
         Ok(())
     }
 }
 
-/// A deterministic full-state snapshot of a [`Simulator`].
+/// The incremental sweep, shared by both engines: marked definitions
+/// execute in topological order through `eval_def`, which stores the
+/// def's new output and reports whether it changed; a definition whose
+/// output is unchanged does not wake its fan-out.
+fn sweep(
+    nl: &FlatNetlist,
+    dirty: &mut DirtySet,
+    evals: &mut u64,
+    mut eval_def: impl FnMut(&CompiledDef) -> bool,
+) {
+    let n = nl.defs.len();
+    let mut di = dirty.min;
+    while di < n && dirty.count > 0 {
+        if dirty.flags[di] {
+            dirty.flags[di] = false;
+            dirty.count -= 1;
+            let def = &nl.defs[di];
+            *evals += 1;
+            if eval_def(def) {
+                // Fan-out defs are topologically later, so the forward
+                // sweep will reach them this pass.
+                dirty.mark_all(&nl.sig_fanout[def.sig]);
+            }
+        }
+        di += 1;
+    }
+    dirty.min = n;
+    debug_assert_eq!(dirty.count, 0, "sweep left dirty defs behind");
+    dirty.count = 0;
+}
+
+/// A two-state result: one word from the single-word path, or a
+/// `Bits` from the general one.
+enum Value {
+    Word(u64),
+    Wide(Bits),
+}
+
+impl Value {
+    fn is_truthy(&self) -> bool {
+        match self {
+            Value::Word(v) => *v != 0,
+            Value::Wide(b) => b.is_truthy(),
+        }
+    }
+
+    /// The low 64 bits (a memory address).
+    fn low_word(&self) -> u64 {
+        match self {
+            Value::Word(v) => *v,
+            Value::Wide(b) => b.to_u64(),
+        }
+    }
+
+    /// Writes the value resized to `width` bits into `dst`, the words
+    /// of a slot of that width.
+    fn write(self, dst: &mut [u64], width: u32) {
+        match self {
+            Value::Word(v) => {
+                dst[0] = v & (u64::MAX >> (64 - width.min(64)));
+                dst[1..].fill(0);
+            }
+            Value::Wide(b) if b.width() == width => dst.copy_from_slice(b.words()),
+            Value::Wide(b) => dst.copy_from_slice(b.resize(width).words()),
+        }
+    }
+}
+
+/// Evaluates `code` over the two-state words `src`: its single-word
+/// form when it has one.
+fn eval2(nl: &FlatNetlist, code: Code, src: Words<'_>, scratch: &mut Scratch) -> Value {
+    match code.word {
+        Some(range) => Value::Word(exec_word(&nl.program, range, src, &mut scratch.words)),
+        None => Value::Wide(exec(
+            &nl.program,
+            &nl.layout,
+            code.ops,
+            src,
+            &mut scratch.bits,
+        )),
+    }
+}
+
+/// A deterministic full-state snapshot of a [`Simulator`]: a copy of
+/// its word store.
 ///
 /// Opaque: captured with [`Simulator::snapshot`], reapplied with
 /// [`Simulator::restore`], and only valid for simulators built from
-/// the same circuit. The debugger's checkpoint ring stores these and
-/// budgets them by [`Snapshot::approx_bytes`].
+/// the same circuit in the same mode. The debugger's checkpoint ring
+/// stores these and budgets them by [`Snapshot::approx_bytes`].
 #[derive(Clone)]
 pub struct Snapshot {
-    values: Vec<Bits>,
-    /// Per-signal unknown planes; empty for two-state snapshots.
-    unks: Vec<Bits>,
-    mems: Vec<MemState>,
-    /// Per-memory-word unknown planes; empty for two-state snapshots.
-    munks: Vec<Vec<Bits>>,
-    dirty_flags: Vec<bool>,
-    dirty_count: usize,
-    dirty_min: usize,
-    pending_regs: Vec<(usize, Bits)>,
-    pending_mems: Vec<(usize, usize, Bits)>,
-    pending_regs4: Vec<(usize, Bits4)>,
-    pending_mems4: Vec<(usize, usize, Bits4)>,
-    evals: u64,
+    state: State,
     time: u64,
     started: bool,
 }
@@ -1066,41 +1017,15 @@ impl Snapshot {
         self.time
     }
 
-    /// Approximate heap footprint in bytes — the sizing input for a
-    /// bounded checkpoint ring. Wide (> 64-bit) values add their word
-    /// storage on top of the inline representation.
+    /// Heap footprint in bytes — the sizing input for a bounded
+    /// checkpoint ring.
     pub fn approx_bytes(&self) -> usize {
-        fn bits_bytes(b: &Bits) -> usize {
-            let heap = if b.width() > 64 {
-                (b.width() as usize).div_ceil(8)
-            } else {
-                0
-            };
-            std::mem::size_of::<Bits>() + heap
-        }
-        let values: usize = self.values.iter().map(bits_bytes).sum::<usize>()
-            + self.unks.iter().map(bits_bytes).sum::<usize>();
-        let mems: usize = self
-            .mems
-            .iter()
-            .map(|m| m.words.iter().map(bits_bytes).sum::<usize>())
-            .sum::<usize>()
-            + self
-                .munks
-                .iter()
-                .map(|m| m.iter().map(bits_bytes).sum::<usize>())
-                .sum::<usize>();
-        let pending: usize = self
-            .pending_regs
-            .iter()
-            .map(|(_, b)| bits_bytes(b) + std::mem::size_of::<usize>())
-            .sum::<usize>()
-            + self
-                .pending_mems
-                .iter()
-                .map(|(_, _, b)| bits_bytes(b) + 2 * std::mem::size_of::<usize>())
-                .sum::<usize>();
-        values + mems + pending + self.dirty_flags.len() + std::mem::size_of::<Snapshot>()
+        let words = |p: &Plane| p.shape().iter().sum::<usize>();
+        let state = &self.state;
+        std::mem::size_of::<Snapshot>()
+            + std::mem::size_of::<u64>() * (words(&state.val) + words(&state.unk))
+            + std::mem::size_of::<Option<u64>>() * state.writes.len()
+            + state.dirty.flags.len()
     }
 }
 
@@ -1108,63 +1033,10 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("time", &self.time)
-            .field("signals", &self.values.len())
-            .field("mems", &self.mems.len())
+            .field("signal_words", &self.state.val.sigs.len())
+            .field("memory_words", &self.state.val.mems.len())
             .field("approx_bytes", &self.approx_bytes())
             .finish()
-    }
-}
-
-/// Next value of one register at the edge: reset loads the init value
-/// when there is one; otherwise the compiled next expression (or hold).
-fn eval_reg_next(
-    netlist: &FlatNetlist,
-    reg: &FlatReg,
-    reset: bool,
-    values: &[Bits],
-    mems: &[MemState],
-    stack: &mut Vec<Bits>,
-) -> Bits {
-    if reset {
-        if let Some(init) = &reg.init {
-            return init.clone();
-        }
-    }
-    match reg.next {
-        Some(code) => exec(&netlist.program, code, values, mems, stack),
-        None => values[reg.sig].clone(),
-    }
-}
-
-/// Four-state next value of one register at the edge. Mirrors
-/// [`eval_reg_next`] for a known reset (so fully-driven designs match
-/// the two-state engine bit for bit); an unknown reset latches all-X —
-/// the register's next state genuinely cannot be known.
-fn eval_reg_next4(
-    netlist: &FlatNetlist,
-    reg: &FlatReg,
-    reset: Option<bool>,
-    values: &Planes<'_>,
-    mems: &[MemState],
-    munks: &[Vec<Bits>],
-    stack: &mut Vec<Bits4>,
-) -> Bits4 {
-    match reset {
-        None => return Bits4::all_x(netlist.widths[reg.sig]),
-        Some(true) => {
-            if let Some(init) = &reg.init {
-                return Bits4::known(init.clone());
-            }
-            // No init: like the two-state engine, the register ignores
-            // reset and follows its next expression (that is the bug
-            // class lint L006 flags — and exactly what an X sweep
-            // makes visible).
-        }
-        Some(false) => {}
-    }
-    match reg.next {
-        Some(code) => exec4(&netlist.program, code, values, mems, munks, stack),
-        None => values.get4(reg.sig),
     }
 }
 
@@ -1253,20 +1125,16 @@ impl SimControl for Simulator {
         if !is_input && !is_reg {
             return Err(SimError::NotWritable(path.to_owned()));
         }
-        let value = value.resize(self.netlist.widths[sig]);
-        self.poke_sig(sig, value.clone());
-        if is_reg {
+        let value = value.resize(self.netlist.layout.widths[sig]);
+        self.poke_sig(sig, &value);
+        if let Some(reg) = self.netlist.regs.iter().find(|r| r.sig == sig) {
             // Make the force survive the edge already latched at the
             // current stop point.
-            for (psig, pv) in &mut self.pending_regs {
-                if *psig == sig {
-                    *pv = value.clone();
-                }
-            }
-            for (psig, pv) in &mut self.pending_regs4 {
-                if *psig == sig {
-                    *pv = Bits4::known(value.clone());
-                }
+            let latch = reg.latch..reg.latch + value.words().len();
+            let state = self.state.get_mut();
+            state.val.regs[latch.clone()].copy_from_slice(value.words());
+            if self.four_state {
+                state.unk.regs[latch].fill(0);
             }
         }
         Ok(())

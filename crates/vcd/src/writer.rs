@@ -180,25 +180,48 @@ impl<W: Write> Recorder<W> {
     }
 }
 
+/// The VCD digit of a bit, indexed by `unknown << 1 | value`.
+const DIGITS: [u8; 4] = *b"01zx";
+
+/// Writes one value change. A vector's digits go straight from its
+/// words into the writer: no `String` is built per change.
 fn write_change<W: Write>(out: &mut W, id: &str, value: &Bits4, width: u32) -> io::Result<()> {
     if width == 1 {
-        writeln!(out, "{}{}", value.bit_char(0), id)
-    } else {
-        // Conventional VCD trims leading zeros — but only zeros, and
-        // not the last one before an `x` or `z`: IEEE 1364 has a
-        // reader left-extend a short vector with its first digit when
-        // that is `x` or `z`, so `0000xxxx` must be written `b0xxxx`.
-        let full = value.bin_digits();
-        let trimmed = full.trim_start_matches('0');
-        let digits = match trimmed.bytes().next() {
-            None => "0",
-            Some(b'x' | b'z') if trimmed.len() < full.len() => {
-                &full[full.len() - trimmed.len() - 1..]
-            }
-            Some(_) => trimmed,
-        };
-        writeln!(out, "b{digits} {id}")
+        return writeln!(out, "{}{}", value.bit_char(0), id);
     }
+    let (val, unk) = (value.value().words(), value.unknown().words());
+    let digit = |i: u32| {
+        let (w, b) = ((i / 64) as usize, i % 64);
+        DIGITS[((((unk[w] >> b) & 1) << 1) | ((val[w] >> b) & 1)) as usize]
+    };
+    // Conventional VCD trims leading zeros — but only zeros, and
+    // not the last one before an `x` or `z`: IEEE 1364 has a
+    // reader left-extend a short vector with its first digit when
+    // that is `x` or `z`, so `0000xxxx` must be written `b0xxxx`.
+    let top = (0..val.len()).rev().find_map(|w| {
+        let set = val[w] | unk[w];
+        (set != 0).then(|| w as u32 * 64 + 63 - set.leading_zeros())
+    });
+    let first = match top {
+        None => 0,
+        Some(i) if i + 1 < value.width() && digit(i) != b'1' => i + 1,
+        Some(i) => i,
+    };
+    let mut buf = [0u8; 128];
+    buf[0] = b'b';
+    let mut len = 1;
+    for i in (0..=first).rev() {
+        if len == buf.len() {
+            out.write_all(&buf)?;
+            len = 0;
+        }
+        buf[len] = digit(i);
+        len += 1;
+    }
+    out.write_all(&buf[..len])?;
+    out.write_all(b" ")?;
+    out.write_all(id.as_bytes())?;
+    out.write_all(b"\n")
 }
 
 #[cfg(test)]
@@ -356,5 +379,93 @@ mod tests {
             .find(|l| l.ends_with(&format!(" {out_id}")) && l.starts_with('b'))
             .expect("out is dumped");
         assert_eq!(change, format!("b0xxxx {out_id}"), "dump:\n{text}");
+    }
+
+    /// The formatting `write_change` had when it built each vector's
+    /// digits as a `String`: the reference its bytes must match.
+    fn reference_change(out: &mut Vec<u8>, id: &str, value: &Bits4, width: u32) {
+        use std::io::Write as _;
+        if width == 1 {
+            writeln!(out, "{}{}", value.bit_char(0), id).unwrap();
+        } else {
+            let full = value.bin_digits();
+            let trimmed = full.trim_start_matches('0');
+            let digits = match trimmed.bytes().next() {
+                None => "0",
+                Some(b'x' | b'z') if trimmed.len() < full.len() => {
+                    &full[full.len() - trimmed.len() - 1..]
+                }
+                Some(_) => trimmed,
+            };
+            writeln!(out, "b{digits} {id}").unwrap();
+        }
+    }
+
+    /// Random two- and four-state values of widths 1 to 130, many with
+    /// leading zeros and some with an `x` or `z` right below them, are
+    /// written byte for byte as the `String`-building formatting wrote
+    /// them.
+    #[test]
+    fn write_change_matches_the_string_formatting() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut with_zero_before_unknown, mut four_state) = (0, 0);
+        for case in 0..4000u32 {
+            let width = 1 + (next() % 130) as u32;
+            let n = width.div_ceil(64) as usize;
+            let mut val: Vec<u64> = (0..n).map(|_| next()).collect();
+            let mut unk: Vec<u64> = if case % 2 == 0 {
+                vec![0; n]
+            } else {
+                (0..n).map(|_| next() & next()).collect()
+            };
+            // Clear the bits from `keep` up, then maybe put an x or z
+            // right below them.
+            let keep = (next() % u64::from(width + 1)) as u32;
+            for i in keep..width {
+                let (w, b) = ((i / 64) as usize, i % 64);
+                val[w] &= !(1 << b);
+                unk[w] &= !(1 << b);
+            }
+            if keep > 0 && next() % 2 == 0 {
+                let (w, b) = (((keep - 1) / 64) as usize, (keep - 1) % 64);
+                unk[w] |= 1 << b;
+                if next() % 2 == 0 {
+                    val[w] |= 1 << b;
+                } else {
+                    val[w] &= !(1 << b);
+                }
+            }
+            let value =
+                Bits4::from_planes(Bits::from_words(&val, width), Bits::from_words(&unk, width));
+            if !value.is_fully_known() {
+                four_state += 1;
+                let digits = value.bin_digits();
+                let trimmed = digits.trim_start_matches('0');
+                if trimmed.len() < digits.len() && trimmed.starts_with(['x', 'z']) {
+                    with_zero_before_unknown += 1;
+                }
+            }
+            let mut got = Vec::new();
+            write_change(&mut got, "!#", &value, width).unwrap();
+            let mut expected = Vec::new();
+            reference_change(&mut expected, "!#", &value, width);
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                String::from_utf8(expected).unwrap(),
+                "case {case}: {value:?}"
+            );
+        }
+        assert!(four_state > 1000, "{four_state} four-state cases");
+        assert!(
+            with_zero_before_unknown > 200,
+            "{with_zero_before_unknown} cases keep a zero before x or z"
+        );
     }
 }
