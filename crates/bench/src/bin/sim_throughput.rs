@@ -20,8 +20,9 @@
 //!   captures. Under `--smoke` that fraction is gated at <10%.
 //! * `--gate <path>` — regression gate against a recorded baseline
 //!   (`BENCH_sim_throughput.json`): measure the two-state `rv32_core`
-//!   row and fail if it lands below 95% of the recorded `current`
-//!   number, or if its timed window evaluates a different number of
+//!   row over the window recorded with it (its `cycles` and `warmup`)
+//!   and fail if it lands below 95% of the recorded `current` number,
+//!   or if its timed window evaluates a different number of
 //!   definitions per cycle than recorded. The count repeats exactly
 //!   on any host, so it catches a change in the engine's work even
 //!   where the host's speed hides it in the wall clock.
@@ -50,14 +51,20 @@ struct Row {
     checkpoint_every: u64,
 }
 
-/// Times `cycles` cycles after `warmup` untimed ones; returns the
-/// rate and the definitions evaluated per timed cycle.
-fn measure(sim: &mut Simulator, warmup: u64, cycles: u64) -> (f64, f64) {
+/// Runs `warmup` untimed cycles, then `time` over a window of
+/// `cycles` cycles; returns what `time` measured and the definitions
+/// evaluated per window cycle.
+fn measure<T>(
+    sim: &mut Simulator,
+    warmup: u64,
+    cycles: u64,
+    time: impl FnOnce(&mut Simulator, u64) -> T,
+) -> (T, f64) {
     sim.run(warmup);
     let defs = sim.defs_evaluated();
-    let cps = measure_throughput_warmed(sim, 0, cycles);
+    let timed = time(sim, cycles);
     let defs_per_cycle = (sim.defs_evaluated() - defs) as f64 / cycles as f64;
-    (cps, defs_per_cycle)
+    (timed, defs_per_cycle)
 }
 
 /// Loads [`executing_workload`] on the release-mode core.
@@ -79,7 +86,9 @@ fn assert_executing(sim: &Simulator, halted: &str) {
 
 fn measure_rv32(cycles: u64, warmup: u64) -> Row {
     let (mut sim, halted) = executing_sim();
-    let (cps, defs_per_cycle) = measure(&mut sim, warmup, cycles);
+    let (cps, defs_per_cycle) = measure(&mut sim, warmup, cycles, |sim, n| {
+        measure_throughput_warmed(sim, 0, n)
+    });
     assert_executing(&sim, &halted);
     Row {
         design: "rv32_core",
@@ -97,16 +106,16 @@ fn measure_rv32(cycles: u64, warmup: u64) -> Row {
 /// absolute throughput drifts between runs).
 fn measure_rv32_checkpointed(cycles: u64, warmup: u64, every: u64) -> (Row, f64) {
     let (mut sim, halted) = executing_sim();
-    sim.run(warmup);
-    let defs = sim.defs_evaluated();
-    let (cps, overhead) = measure_throughput_checkpointed(&mut sim, 0, cycles, every);
+    let ((cps, overhead), defs_per_cycle) = measure(&mut sim, warmup, cycles, |sim, n| {
+        measure_throughput_checkpointed(sim, 0, n, every)
+    });
     assert_executing(&sim, &halted);
     let row = Row {
         design: "rv32_core",
         cycles,
         warmup,
         cycles_per_sec: cps,
-        defs_per_cycle: (sim.defs_evaluated() - defs) as f64 / cycles as f64,
+        defs_per_cycle,
         checkpoint_every: every,
     };
     (row, overhead)
@@ -114,7 +123,9 @@ fn measure_rv32_checkpointed(cycles: u64, warmup: u64, every: u64) -> (Row, f64)
 
 fn measure_wide(cycles: u64, warmup: u64) -> Row {
     let mut sim = loaded_wide_sim(8);
-    let (cps, defs_per_cycle) = measure(&mut sim, warmup, cycles);
+    let (cps, defs_per_cycle) = measure(&mut sim, warmup, cycles, |sim, n| {
+        measure_throughput_warmed(sim, 0, n)
+    });
     Row {
         design: "wide_datapath",
         cycles,
@@ -141,13 +152,15 @@ fn check_correctness() {
     );
 }
 
-/// Gate mode: measure the two-state `rv32_core` row and compare
-/// against the recorded baseline in `path`. Fails (panics) below 95%
-/// of baseline, or when a run's timed window evaluates another number
-/// of definitions than the recorded `defs_per_cycle`; the measurement
-/// takes the median of three runs to damp runner noise, like the
-/// recorded numbers did.
-fn run_gate(path: &str, cycles: u64, warmup: u64) {
+/// Gate mode: measure the two-state `rv32_core` row over the window
+/// recorded beside it in `path` and compare against the recorded
+/// baseline. Fails (panics) below 95% of baseline, or when a run's
+/// timed window evaluates another number of definitions than the
+/// recorded `defs_per_cycle`; the measurement takes the median of
+/// three runs to damp runner noise. The count holds only for the
+/// recorded window, so a `--cycles` or `--warmup` that differs from it
+/// is refused.
+fn run_gate(path: &str, cycles_arg: Option<u64>, warmup_arg: Option<u64>) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--gate: cannot read {path}: {e}"));
     let json =
@@ -164,6 +177,18 @@ fn run_gate(path: &str, cycles: u64, warmup: u64) {
             .unwrap_or_else(|| panic!("--gate: the rv32_core row in {path} has no {name}"))
     };
     let (baseline, recorded_defs) = (field("cycles_per_sec"), field("defs_per_cycle"));
+    let window = |name: &str, arg: Option<u64>| {
+        let recorded = field(name) as u64;
+        if let Some(asked) = arg {
+            assert!(
+                asked == recorded,
+                "--gate: the defs_per_cycle in {path} was recorded with --{name} {recorded}, \
+                 so the gate runs that window; drop --{name} {asked}"
+            );
+        }
+        recorded
+    };
+    let (cycles, warmup) = (window("cycles", cycles_arg), window("warmup", warmup_arg));
 
     let rows: Vec<Row> = (0..3).map(|_| measure_rv32(cycles, warmup)).collect();
     // Compared as whole counts over the window, so a decimal
@@ -183,8 +208,10 @@ fn run_gate(path: &str, cycles: u64, warmup: u64) {
     let floor = baseline * 0.95;
     println!(
         "{{\"gate\": \"sim_throughput\", \"design\": \"rv32_core\", \
-         \"baseline\": {baseline:.0}, \"measured\": {measured:.0}, \"floor\": {floor:.0}, \
-         \"defs_per_cycle\": {recorded_defs}}}"
+         \"cycles\": {cycles}, \"warmup\": {warmup}, \"baseline\": {baseline:.0}, \
+         \"runs\": [{:.0}, {:.0}, {:.0}], \"measured\": {measured:.0}, \"floor\": {floor:.0}, \
+         \"defs_per_cycle\": {recorded_defs}}}",
+        runs[0], runs[1], runs[2]
     );
     assert!(
         measured >= floor,
@@ -233,13 +260,7 @@ fn main() {
     let (smoke, cycles_arg, warmup_arg, checkpoint_every, gate) = parse_args();
 
     if let Some(path) = gate {
-        // Longer than the sweep default: the gate is a pass/fail
-        // boundary, so it needs the noise floor well under 5%.
-        run_gate(
-            &path,
-            cycles_arg.unwrap_or(200_000),
-            warmup_arg.unwrap_or(20_000),
-        );
+        run_gate(&path, cycles_arg, warmup_arg);
         return;
     }
 

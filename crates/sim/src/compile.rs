@@ -35,6 +35,12 @@ pub(crate) struct Code {
     pub(crate) word: Option<CodeRange>,
     /// The signal slot, when the expression is nothing but a read of
     /// it: its value is then a copy of that slot's words, at any width.
+    /// Wider than a word, the general path would load the value into a
+    /// heap `Bits` and store it back; the bench's `wide_datapath`
+    /// design makes nine such reads a cycle (one definition and its
+    /// eight registers' next values), and without the copy its
+    /// `sim_throughput` row read about 11% slower on a shared 2-vCPU
+    /// Xeon host.
     pub(crate) copy_of: Option<usize>,
 }
 
