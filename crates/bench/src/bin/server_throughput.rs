@@ -266,7 +266,7 @@ fn measure_interrupt(rounds: u64) -> Row {
         controller.interrupt().expect("interrupt acknowledged");
         let reply = out_rx.recv().expect("stop reply");
         total += t0.elapsed();
-        let (line, _, _) = reply.to_line(runner);
+        let (line, _) = reply.to_line(runner);
         let json = microjson::parse(&line).expect("reply json");
         assert_eq!(
             json["event"]["reason"].as_str(),

@@ -2,8 +2,7 @@
 //!
 //! Both shipped debugger frontends — the scripted sessions in the
 //! examples and the interactive gdb-style CLI — use this client. It is
-//! transport-generic: in-process channels, a [`crate::ServiceHandle`]
-//! session, or TCP.
+//! transport-generic: an in-process [`crate::ServiceTransport`] or TCP.
 //!
 //! Every request carries a sequence number; the client matches each
 //! reply by its echoed `seq`, and any asynchronous `event` messages
@@ -156,8 +155,7 @@ impl<T: Transport> DebugClient<T> {
     /// [`DebugClient::wait_event`] with a deadline: returns `Ok(None)`
     /// if no asynchronous event arrives within `timeout`, so an
     /// interactive frontend can wait without wedging on a quiet
-    /// server. On transports without timeout support the call degrades
-    /// to a blocking [`DebugClient::wait_event`].
+    /// server.
     ///
     /// # Errors
     ///

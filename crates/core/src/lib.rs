@@ -19,8 +19,8 @@
 //!   the compiler (Algorithm 1 in `hgf-ir`).
 //! * The [`scheduler`] walks the precomputed breakpoint order at each
 //!   clock edge (Figure 2), forward or reversed.
-//! * Debugger frontends talk JSON-RPC ([`protocol`]) over TCP or
-//!   in-process channels ([`server`], [`client`]).
+//! * Debugger frontends talk JSON-RPC ([`protocol`]) over TCP or an
+//!   in-process service session ([`server`], [`client`]).
 //! * The [`service`] layer owns the runtime on a dedicated thread and
 //!   serves any number of concurrent debugger sessions
 //!   ([`DebugService`], [`TcpDebugServer`]), demultiplexed by
@@ -103,8 +103,8 @@ pub use runtime::{
     WatchpointListing, LOCAL_SESSION,
 };
 pub use scheduler::{Group, Scheduler};
-pub use server::{channel_pair, serve, ChannelPair, RecvOutcome, TcpTransport, Transport};
+pub use server::{RecvOutcome, TcpTransport, Transport};
 pub use service::{
-    DebugService, ServiceHandle, ServicePanicked, ServiceTransport, Subscription, TcpDebugServer,
-    TcpServerConfig,
+    serve, DebugService, ServiceHandle, ServicePanicked, ServiceTransport, Subscription,
+    TcpDebugServer, TcpServerConfig,
 };

@@ -2,9 +2,8 @@
 //!
 //! Every debug session owns one [`OutboundQueue`]/[`OutboundReceiver`]
 //! pair. The service thread pushes replies and event broadcasts into
-//! the queue; the session's transport (TCP writer thread, in-process
-//! [`crate::ServiceTransport`], or the [`crate::serve`] pump) drains
-//! it in order.
+//! the queue; the session's transport (TCP writer thread or
+//! in-process [`crate::ServiceTransport`]) drains it in order.
 //!
 //! # Why bounded
 //!
@@ -85,11 +84,10 @@ pub enum Outbound {
 
 impl Outbound {
     /// Encodes this message as its wire line for `session`. Returns
-    /// `(line, is_reply, last)`: whether the line answers a request
-    /// (vs an async event), and whether it ends the session. The one
-    /// place outbound framing lives — the TCP writer, the in-process
-    /// transport, and the `serve` pump all call it.
-    pub fn to_line(&self, session: SessionId) -> (String, bool, bool) {
+    /// `(line, last)`: whether the line ends the session. The one
+    /// place outbound framing lives — the TCP writer and the
+    /// in-process transport both call it.
+    pub fn to_line(&self, session: SessionId) -> (String, bool) {
         match self {
             Outbound::Reply {
                 seq,
@@ -97,15 +95,12 @@ impl Outbound {
                 last,
             } => (
                 encode_response_line(response, *seq, session).to_string(),
-                true,
                 *last,
             ),
-            Outbound::Stopped { origin, event } => (
-                encode_stop_broadcast(*origin, event).to_string(),
-                false,
-                false,
-            ),
-            Outbound::Lagged { missed } => (encode_lagged_event(*missed).to_string(), false, false),
+            Outbound::Stopped { origin, event } => {
+                (encode_stop_broadcast(*origin, event).to_string(), false)
+            }
+            Outbound::Lagged { missed } => (encode_lagged_event(*missed).to_string(), false),
         }
     }
 

@@ -3,7 +3,7 @@
 //! "hgdb relies on RPC-based debugging protocol similar to gdb remote
 //! protocol, where the debugger connects to hgdb via WebSocket." Here
 //! the wire format is newline-delimited JSON messages, carried over
-//! TCP or an in-process channel — the framing differs from WebSocket,
+//! TCP or an in-process session — the framing differs from WebSocket,
 //! the message semantics do not. Both shipped debuggers (the gdb-like
 //! CLI and a hypothetical IDE) speak this protocol.
 //!
@@ -451,7 +451,7 @@ pub fn decode_request_line(json: &Json) -> (Option<u64>, Result<Request, String>
 
 /// Parses and decodes one raw wire line. The single entry point every
 /// server-side reader uses, so malformed-JSON handling cannot drift
-/// between the TCP, in-process, and pump paths.
+/// between the TCP and in-process paths.
 pub fn decode_line(line: &str) -> (Option<u64>, Result<Request, String>) {
     match microjson::parse(line) {
         Ok(json) => decode_request_line(&json),

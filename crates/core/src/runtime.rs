@@ -679,15 +679,6 @@ impl<S: SimControl> Runtime<S> {
         Ok(())
     }
 
-    /// Removes every session's inserted breakpoints.
-    pub fn clear_breakpoints(&mut self) {
-        for (id, owners) in std::mem::take(&mut self.inserted) {
-            for _ in owners {
-                self.scheduler.note_removed(id);
-            }
-        }
-    }
-
     /// Removes all debug state owned by `owner` — breakpoints and
     /// watchpoints. Called by the service when a session closes so a
     /// vanished debugger cannot keep stopping everyone else's

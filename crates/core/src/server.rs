@@ -1,29 +1,20 @@
-//! Line transports and the single-session serve wrapper.
+//! Line transports.
 //!
 //! The runtime side of Figure 1's RPC arrows. A [`Transport`] carries
-//! newline-delimited JSON both ways; [`ChannelPair`] provides an
-//! in-process transport (debugger and simulation in one process, like
-//! the native ABI path of §3.4); [`TcpTransport`] wraps a connected
-//! socket for the client side.
+//! newline-delimited JSON both ways; [`TcpTransport`] wraps a
+//! connected socket for the client side, and
+//! [`crate::ServiceTransport`] is the in-process one (debugger and
+//! simulation in one process, like the native ABI path of §3.4).
 //!
-//! Serving lives in [`crate::service`]: a [`DebugService`] owns the
-//! runtime on its own thread and fans out to any number of sessions
-//! ([`crate::TcpDebugServer`] for sockets,
-//! [`crate::ServiceHandle::connect`] for in-process). [`serve`] is the
-//! zero-config wrapper kept for the common embedded case — it spawns a
-//! service, pumps one transport as its only session until detach or
-//! disconnect, and hands the runtime back.
+//! Serving lives in [`crate::service`]: a [`crate::DebugService`]
+//! owns the runtime on its own thread and fans out to any number of
+//! sessions ([`crate::TcpDebugServer`] for sockets,
+//! [`crate::ServiceHandle::connect`] for in-process, and
+//! [`crate::serve`] for the embedded single-debugger case).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use rtl_sim::SimControl;
-
-use crate::outbound::{outbound_queue, DEFAULT_OUTBOUND_CAPACITY};
-use crate::runtime::Runtime;
-use crate::service::DebugService;
 
 /// What a bounded-wait receive produced (see
 /// [`Transport::recv_timeout`]).
@@ -42,19 +33,8 @@ pub trait Transport {
     /// Receives the next line; `None` when the peer is gone.
     fn recv(&mut self) -> Option<String>;
 
-    /// Receives the next line, giving up after `timeout`. The default
-    /// implementation ignores the timeout and blocks. Every transport
-    /// this crate provides honours the deadline ([`TcpTransport`],
-    /// [`ChannelPair`] and [`crate::ServiceTransport`]); callers that
-    /// need liveness detection (e.g.
-    /// [`crate::DebugClient::wait_event_timeout`]) require it.
-    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
-        let _ = timeout;
-        match self.recv() {
-            Some(line) => RecvOutcome::Line(line),
-            None => RecvOutcome::Closed,
-        }
-    }
+    /// Receives the next line, giving up after `timeout`.
+    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome;
 
     /// Sends one line.
     ///
@@ -62,41 +42,6 @@ pub trait Transport {
     ///
     /// Returns an error string when the peer is unreachable.
     fn send(&mut self, line: &str) -> Result<(), String>;
-}
-
-/// In-process transport endpoints created by [`channel_pair`].
-#[derive(Debug)]
-pub struct ChannelPair {
-    tx: Sender<String>,
-    rx: Receiver<String>,
-}
-
-/// Creates a connected (server, client) transport pair.
-pub fn channel_pair() -> (ChannelPair, ChannelPair) {
-    let (tx_a, rx_a) = unbounded();
-    let (tx_b, rx_b) = unbounded();
-    (
-        ChannelPair { tx: tx_a, rx: rx_b },
-        ChannelPair { tx: tx_b, rx: rx_a },
-    )
-}
-
-impl Transport for ChannelPair {
-    fn recv(&mut self) -> Option<String> {
-        self.rx.recv().ok()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
-        match self.rx.recv_timeout(timeout) {
-            Ok(line) => RecvOutcome::Line(line),
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
-        }
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        self.tx.send(line.to_owned()).map_err(|e| e.to_string())
-    }
 }
 
 /// What one [`LineReader::read_line`] attempt produced.
@@ -275,58 +220,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Serves one transport as the only session of a freshly spawned
-/// [`DebugService`], until detach or disconnect. Returns the runtime
-/// so the caller can keep driving (or inspect) the simulation.
-///
-/// The transport's session runs as [`crate::LOCAL_SESSION`] — in the
-/// embedded single-debugger case the connected frontend *is* the
-/// local user, so breakpoints and watchpoints inserted through the
-/// direct [`Runtime`] API before serving are visible to (and
-/// removable by) the debugger rather than becoming unlistable ghost
-/// stops. Like any session's, that state is cleared when the session
-/// ends.
-pub fn serve<S, T>(runtime: Runtime<S>, transport: &mut T) -> Runtime<S>
-where
-    S: SimControl + Send + 'static,
-    T: Transport,
-{
-    let service = DebugService::spawn(runtime);
-    let handle = service.handle();
-    let (out_tx, out_rx) = outbound_queue(DEFAULT_OUTBOUND_CAPACITY);
-    let session = handle
-        .open_session_as(out_tx, crate::LOCAL_SESSION)
-        .expect("freshly spawned service accepts sessions");
-    'session: while let Some(line) = transport.recv() {
-        if line.is_empty() {
-            continue;
-        }
-        if !handle.submit_line(session, &line) {
-            break;
-        }
-        // Forward outbound messages until this line's reply has gone
-        // out.
-        loop {
-            match out_rx.recv() {
-                Some(out) => {
-                    let (wire, is_reply, last) = out.to_line(session);
-                    if transport.send(&wire).is_err() || last {
-                        break 'session;
-                    }
-                    if is_reply {
-                        break;
-                    }
-                }
-                None => break 'session,
-            }
-        }
-    }
-    handle.close_session(session);
-    service
-        .shutdown()
-        .expect("service panics are contained per-request; the thread itself cannot die")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,24 +293,5 @@ mod tests {
             other => panic!("expected line, got {other:?}"),
         }
         assert!(matches!(lines.read_line(&mut src), ReadLine::Eof));
-    }
-
-    #[test]
-    fn channel_pair_recv_timeout() {
-        let (mut a, mut b) = channel_pair();
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)),
-            RecvOutcome::TimedOut
-        );
-        b.send("hi").unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)),
-            RecvOutcome::Line("hi".into())
-        );
-        drop(b);
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)),
-            RecvOutcome::Closed
-        );
     }
 }

@@ -81,11 +81,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use microjson::Json;
 use rtl_sim::{HierNode, SimControl};
 
@@ -151,8 +151,8 @@ enum Command {
     Open {
         out: OutboundQueue,
         reply: Sender<SessionId>,
-        /// Claim a specific id (the [`crate::serve`] wrapper runs its
-        /// single session as [`LOCAL_SESSION`]); `None` auto-assigns.
+        /// Claim a specific id ([`serve`] opens its session as
+        /// [`LOCAL_SESSION`]); `None` auto-assigns.
         id: Option<SessionId>,
     },
     Close {
@@ -189,17 +189,8 @@ impl ServiceHandle {
         self.open_session_inner(out, None)
     }
 
-    /// Registers a session claiming a specific id when it is free
-    /// (falls back to auto-assignment when taken). Used by the
-    /// single-session [`crate::serve`] wrapper to run its transport as
-    /// [`LOCAL_SESSION`], so debug state inserted through the direct
-    /// `Runtime` API before serving stays visible to the debugger.
-    pub(crate) fn open_session_as(&self, out: OutboundQueue, id: SessionId) -> Option<SessionId> {
-        self.open_session_inner(out, Some(id))
-    }
-
     fn open_session_inner(&self, out: OutboundQueue, id: Option<SessionId>) -> Option<SessionId> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = mpsc::channel();
         self.cmd
             .send(Command::Open {
                 out,
@@ -292,8 +283,14 @@ impl ServiceHandle {
     /// # Ok::<(), hgf_ir::IrError>(())
     /// ```
     pub fn connect(&self) -> Option<ServiceTransport> {
+        self.connect_as(None)
+    }
+
+    /// [`ServiceHandle::connect`], claiming session `id` when it is
+    /// free (auto-assigning when it is taken or `None`).
+    fn connect_as(&self, id: Option<SessionId>) -> Option<ServiceTransport> {
         let (out_tx, out_rx) = outbound_queue(DEFAULT_OUTBOUND_CAPACITY);
-        let session = self.open_session(out_tx)?;
+        let session = self.open_session_inner(out_tx, id)?;
         Some(ServiceTransport {
             handle: self.clone(),
             session,
@@ -323,7 +320,7 @@ impl ServiceTransport {
     /// The wire line for `out`; a session's last reply closes the
     /// transport.
     fn deliver(&mut self, out: Outbound) -> String {
-        let (line, _is_reply, last) = out.to_line(self.session);
+        let (line, last) = out.to_line(self.session);
         if last {
             self.closed = true;
         }
@@ -401,13 +398,36 @@ impl<S: SimControl + Send + 'static> DebugService<S> {
     /// Moves the runtime onto a new service thread and starts
     /// accepting commands.
     pub fn spawn(runtime: Runtime<S>) -> DebugService<S> {
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = mpsc::channel();
         let thread = std::thread::spawn(move || service_loop(runtime, &cmd_rx));
         DebugService {
             handle: ServiceHandle { cmd: cmd_tx },
             thread: Some(thread),
         }
     }
+}
+
+/// Spawns a [`DebugService`] for `runtime` and connects one in-process
+/// session to it: the zero-config path for a debugger embedded in the
+/// simulator's own process. Detach the session, then
+/// [`DebugService::shutdown`] hands the runtime back.
+///
+/// The session runs as [`LOCAL_SESSION`] — in the embedded
+/// single-debugger case the connected frontend *is* the local user, so
+/// breakpoints and watchpoints inserted through the direct [`Runtime`]
+/// API before serving are visible to (and removable by) the debugger
+/// rather than becoming unlistable ghost stops. Like any session's,
+/// that state is cleared when the session ends.
+pub fn serve<S>(runtime: Runtime<S>) -> (DebugService<S>, ServiceTransport)
+where
+    S: SimControl + Send + 'static,
+{
+    let service = DebugService::spawn(runtime);
+    let transport = service
+        .handle
+        .connect_as(Some(LOCAL_SESSION))
+        .expect("freshly spawned service accepts sessions");
+    (service, transport)
 }
 
 impl<S: SimControl> DebugService<S> {
@@ -540,10 +560,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-fn service_loop<S: SimControl>(
-    mut runtime: Runtime<S>,
-    cmd_rx: &crossbeam::channel::Receiver<Command>,
-) -> Runtime<S> {
+fn service_loop<S: SimControl>(mut runtime: Runtime<S>, cmd_rx: &Receiver<Command>) -> Runtime<S> {
     let mut state = ServiceState::new();
     loop {
         if state.shutdown {
@@ -1313,7 +1330,7 @@ fn client_session(
     let writer = std::thread::spawn(move || {
         let mut w = write_half;
         while let Some(out) = out_rx.recv() {
-            let (mut line, _is_reply, last) = out.to_line(session);
+            let (mut line, last) = out.to_line(session);
             line.push('\n');
             let ok = w
                 .write_all(line.as_bytes())

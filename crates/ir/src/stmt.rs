@@ -746,14 +746,6 @@ impl Circuit {
         }
         Ok(())
     }
-
-    /// Total statement count across modules (including nested).
-    pub fn stmt_count(&self) -> usize {
-        self.modules
-            .iter()
-            .map(|m| walk_stmts(&m.stmts).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]

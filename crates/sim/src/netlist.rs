@@ -479,16 +479,6 @@ impl FlatNetlist {
     pub fn signal_width(&self, slot: usize) -> u32 {
         self.layout.widths[slot]
     }
-
-    /// Whether the signal at `slot` is a register.
-    pub fn is_register(&self, slot: usize) -> bool {
-        self.is_reg[slot]
-    }
-
-    /// Number of combinational definitions in the compiled def graph.
-    pub fn def_count(&self) -> usize {
-        self.defs.len()
-    }
 }
 
 /// Extracts one minimal combinational cycle from the residual def

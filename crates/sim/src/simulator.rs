@@ -110,12 +110,6 @@ impl ClockView<'_> {
         self.sim.peek_id(id)
     }
 
-    /// Four-state value of a signal by interned id. In a two-state
-    /// simulator every bit reads as known.
-    pub fn get_value4_id(&self, id: SignalId) -> Bits4 {
-        self.sim.peek4_id(id)
-    }
-
     /// Whether this simulator runs the four-state (X/Z) engine.
     pub fn is_four_state(&self) -> bool {
         self.sim.is_four_state()
@@ -382,11 +376,6 @@ impl Simulator {
             next_callback: 0,
             four_state: four,
         })
-    }
-
-    /// Number of flattened signals.
-    pub fn signal_count(&self) -> usize {
-        self.netlist.names.len()
     }
 
     /// Interns a full signal path, returning the dense id used by the
@@ -839,11 +828,6 @@ impl Simulator {
     /// Width of a signal by id.
     pub fn signal_width_id(&self, id: SignalId) -> u32 {
         self.netlist.layout.widths[id.index()]
-    }
-
-    /// The full path of the implicit reset input.
-    pub fn reset_path(&self) -> &str {
-        &self.netlist.names[self.netlist.reset]
     }
 
     /// Captures a deterministic full-state [`Snapshot`].

@@ -1,9 +1,9 @@
 //! The gdb-inspired interactive debugger (§3.5) over the RPC protocol.
 //!
 //! The debugger frontend and the simulation communicate exclusively
-//! through the JSON debug protocol (in-process channel here; pass
-//! `--tcp` to run the same session over a socket, proving the
-//! transport independence Figure 1 shows).
+//! through the JSON debug protocol (an in-process service session
+//! here; pass `--tcp` to run the same session over a socket, proving
+//! the transport independence Figure 1 shows).
 //!
 //! Run interactively:   `cargo run --example gdb_cli`
 //! Scripted self-demo:  `cargo run --example gdb_cli -- --demo`
@@ -14,10 +14,8 @@
 //! info | frames | q
 
 use std::io::{BufRead, Write};
-use std::thread;
 
-use bits::Bits;
-use hgdb::{channel_pair, serve, DebugClient, DebugService, Runtime, TcpDebugServer, Transport};
+use hgdb::{serve, DebugClient, DebugService, Runtime, TcpDebugServer, Transport};
 use microjson::Json;
 use rtl_sim::Simulator;
 
@@ -269,11 +267,12 @@ fn run_command<T: Transport>(client: &mut DebugClient<T>, line: &str) -> bool {
 }
 
 /// One debugger session over any transport (Figure 1's transport
-/// independence: same commands, same protocol, channel or socket).
+/// independence: same commands, same protocol, in-process or socket).
 fn drive_session<T: Transport>(mut client: DebugClient<T>, demo: bool, bp_line: u32) {
     if demo {
-        // Scripted session (used by CI): the counter increments under
-        // a when, so the increment line carries a breakpoint.
+        // Scripted session (CI runs it over both transports and
+        // compares the transcripts): the counter increments under a
+        // when, so the increment line carries a breakpoint.
         println!("(scripted demo session)");
         let commands = vec![
             format!("b {}:{bp_line} count == 5", file!()),
@@ -353,14 +352,10 @@ fn main() {
         server.shutdown();
         let _ = service.shutdown();
     } else {
-        // The zero-config in-process path: `serve` pumps one channel
-        // transport as the only session of a private service.
-        let (mut server_t, client_t) = channel_pair();
-        let server = thread::spawn(move || serve(runtime, &mut server_t));
-        drive_session(DebugClient::new(client_t), demo, bp_line);
-        server.join().expect("server thread");
+        // The zero-config in-process path: `serve` spawns a private
+        // service and connects this debugger as its only session.
+        let (service, transport) = serve(runtime);
+        drive_session(DebugClient::new(transport), demo, bp_line);
+        service.shutdown().expect("service thread");
     }
-    // Silence unused-import style warnings for Bits in some
-    // configurations.
-    let _ = Bits::from_bool(true);
 }

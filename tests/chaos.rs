@@ -57,7 +57,7 @@ fn spawn_service_armed(plan: FaultPlan) -> (DebugService<Simulator>, u32) {
 
 /// Parses one outbound message from a raw session queue.
 fn outbound_json(out: &Outbound) -> microjson::Json {
-    let (line, _is_reply, _last) = out.to_line(0);
+    let (line, _last) = out.to_line(0);
     microjson::parse(&line).unwrap()
 }
 

@@ -2,14 +2,12 @@
 //! (Figure 1's debugger arrows, Figure 4's feature set A–D).
 
 use std::net::TcpListener;
-use std::thread;
 
-use bits::Bits;
 use hgdb::protocol::{encode_request_line, encode_response_line, Request, Response};
 use hgdb::service::dispatch;
 use hgdb::{
-    channel_pair, serve, DebugClient, DebugService, RunOutcome, Runtime, SessionId, StopKind,
-    TcpDebugServer, Transport, LOCAL_SESSION,
+    serve, DebugClient, DebugService, RunOutcome, Runtime, SessionId, StopKind, TcpDebugServer,
+    Transport, LOCAL_SESSION,
 };
 use hgf::CircuitBuilder;
 use rtl_sim::Simulator;
@@ -33,16 +31,12 @@ fn build_counter() -> (Simulator, symtab::SymbolTable, u32) {
     (sim, symbols, bp_line)
 }
 
-/// Full conversation over the in-process channel transport.
+/// Full conversation over the in-process `serve` session.
 #[test]
 fn channel_session_covers_figure4_features() {
-    let (mut server_t, client_t) = channel_pair();
     let (sim, symbols, bp_line) = build_counter();
-    let server = thread::spawn(move || {
-        let runtime = Runtime::attach(sim, symbols).unwrap();
-        serve(runtime, &mut server_t);
-    });
-    let mut client = DebugClient::new(client_t);
+    let (service, transport) = serve(Runtime::attach(sim, symbols).unwrap());
+    let mut client = DebugClient::new(transport);
 
     // D: source + conditional breakpoints.
     let ids = client
@@ -88,7 +82,7 @@ fn channel_session_covers_figure4_features() {
     assert!(err.to_string().contains("no breakpoint"));
 
     client.detach().unwrap();
-    server.join().unwrap();
+    service.shutdown().unwrap();
 }
 
 /// The same protocol over a real TCP socket, served by the
@@ -292,13 +286,8 @@ fn step_does_not_inflate_hit_count() {
 /// death.
 #[test]
 fn malformed_requests_survive() {
-    use hgdb::Transport;
-    let (mut server_t, mut client_t) = channel_pair();
     let (sim, symbols, _) = build_counter();
-    let server = thread::spawn(move || {
-        let runtime = Runtime::attach(sim, symbols).unwrap();
-        serve(runtime, &mut server_t);
-    });
+    let (service, mut client_t) = serve(Runtime::attach(sim, symbols).unwrap());
 
     client_t.send("this is not json").unwrap();
     let reply = client_t.recv().unwrap();
@@ -312,7 +301,7 @@ fn malformed_requests_survive() {
     assert!(reply.contains("time"));
     client_t.send(r#"{"type":"detach"}"#).unwrap();
     let _ = client_t.recv();
-    server.join().unwrap();
+    service.shutdown().unwrap();
 }
 
 /// Replay backend through the same runtime: reverse debugging over the
@@ -334,12 +323,8 @@ fn replay_reverse_over_protocol() {
     let trace = vcd::parse(std::str::from_utf8(&vcd_text).unwrap()).unwrap();
     let replay = vcd::ReplaySim::new(trace);
 
-    let (mut server_t, client_t) = channel_pair();
-    let server = thread::spawn(move || {
-        let runtime = Runtime::attach(replay, symbols).unwrap();
-        serve(runtime, &mut server_t);
-    });
-    let mut client = DebugClient::new(client_t);
+    let (service, transport) = serve(Runtime::attach(replay, symbols).unwrap());
+    let mut client = DebugClient::new(transport);
     client
         .insert_breakpoint(file!(), bp_line, Some("count == 9"))
         .unwrap();
@@ -376,8 +361,7 @@ fn replay_reverse_over_protocol() {
     assert_eq!(client.eval(None, "top.count").unwrap(), "9");
 
     client.detach().unwrap();
-    server.join().unwrap();
-    let _ = Bits::from_bool(true);
+    service.shutdown().unwrap();
 }
 
 /// Live-simulator backend: reverse debugging without a recorded trace.
@@ -388,12 +372,8 @@ fn replay_reverse_over_protocol() {
 #[test]
 fn live_sim_reverse_over_protocol() {
     let (sim, symbols, bp_line) = build_counter();
-    let (mut server_t, client_t) = channel_pair();
-    let server = thread::spawn(move || {
-        let runtime = Runtime::attach(sim, symbols).unwrap();
-        serve(runtime, &mut server_t);
-    });
-    let mut client = DebugClient::new(client_t);
+    let (service, transport) = serve(Runtime::attach(sim, symbols).unwrap());
+    let mut client = DebugClient::new(transport);
     let ids = client
         .insert_breakpoint(file!(), bp_line, Some("count == 9"))
         .unwrap();
@@ -447,7 +427,7 @@ fn live_sim_reverse_over_protocol() {
     assert_eq!(client.time().unwrap(), cp);
 
     client.detach().unwrap();
-    server.join().unwrap();
+    service.shutdown().unwrap();
 }
 
 /// The stop a `continue` or `reverse_continue` must have made.

@@ -4,7 +4,7 @@
 
 use hgdb::protocol::Request;
 use hgdb::{
-    channel_pair, outbound_queue, serve, DebugClient, DebugService, Outbound, RunOutcome, Runtime,
+    outbound_queue, serve, ClientError, DebugClient, DebugService, Outbound, RunOutcome, Runtime,
 };
 use rtl_sim::{SimControl, Simulator};
 
@@ -314,10 +314,10 @@ fn subscriptions_filter_broadcasts() {
     let _ = service.shutdown();
 }
 
-/// The single-session `serve` wrapper runs its transport as
-/// `LOCAL_SESSION`: breakpoints inserted through the direct `Runtime`
-/// API before serving are visible to and removable by the connected
-/// debugger, not unlistable ghost stops.
+/// `serve` opens its session as `LOCAL_SESSION`: breakpoints inserted
+/// through the direct `Runtime` API before serving are visible to and
+/// removable by the connected debugger, not unlistable ghost stops.
+/// Ending the session clears what it holds.
 #[test]
 fn serve_session_sees_locally_inserted_state() {
     let (sim, symbols, bp_line) = build_counter();
@@ -325,9 +325,8 @@ fn serve_session_sees_locally_inserted_state() {
     // The embedding tool pre-instruments the design.
     let ids = rt.insert_breakpoint(file!(), bp_line, None, None).unwrap();
 
-    let (mut server_t, client_t) = channel_pair();
-    let server = std::thread::spawn(move || serve(rt, &mut server_t));
-    let mut client = DebugClient::new(client_t);
+    let (service, transport) = serve(rt);
+    let mut client = DebugClient::new(transport);
 
     let listing = client.request(&Request::ListBreakpoints).unwrap();
     assert_eq!(
@@ -340,8 +339,12 @@ fn serve_session_sees_locally_inserted_state() {
         .unwrap();
     let out = client.continue_run(Some(20)).unwrap();
     assert_eq!(out["type"].as_str(), Some("finished"), "removal worked");
+    client.insert_breakpoint(file!(), bp_line, None).unwrap();
+    client.insert_watchpoint(None, "top.out").unwrap();
     client.detach().unwrap();
-    server.join().unwrap();
+    let rt = service.shutdown().unwrap();
+    assert!(rt.breakpoints().is_empty(), "detach cleared the breakpoint");
+    assert!(rt.watchpoints().is_empty(), "detach cleared the watchpoint");
 }
 
 /// A peer that pipelines requests without ever reading its connection
@@ -525,5 +528,12 @@ fn quiet_in_process_session_times_out() {
     assert_eq!(got, Ok(None), "no event on a quiet session");
     assert_eq!(client.time().unwrap(), 0, "the session still answers");
     client.detach().unwrap();
+    assert!(
+        matches!(
+            client.wait_event_timeout(std::time::Duration::from_millis(50)),
+            Err(ClientError::Transport(_))
+        ),
+        "a detached session reports its transport closed, not a timeout"
+    );
     let _ = service.shutdown();
 }
